@@ -13,10 +13,11 @@ from .repring import (RepElement, alt_dim, check_alt_word, clebsch_gordan,
                       multiply, parse_alt_word, psi, psi_word,
                       render_alt_word, so3_fuse)
 from .rewriting import (Alphabet, Ambiguity, ConfluenceReport, EnumerationBound,
-                        NCPolynomial, Rule, RuleOrderError, apply_rule_at,
-                        confluent, find_ambiguities, format_presentation,
-                        is_free_family, parse_presentation, reduce,
-                        reduced_monomials, resolve)
+                        NCPolynomial, RewriteSystem, Rule, RuleOrderError,
+                        apply_rule_at, confluent, find_ambiguities,
+                        format_presentation, is_free_family,
+                        parse_presentation, reduce, reduced_monomials,
+                        resolve)
 from .presentations import (AautRelations, PresentationSpec, build_aaut,
                             build_freeprod, build_hef, build_hplusq, build_hq,
                             build_slq2, matrix_fq, standard_pi_images,

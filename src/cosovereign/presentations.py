@@ -30,8 +30,8 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .matrices import ExactMatrix, inverse, trace
-from .rewriting import (Alphabet, NCPolynomial, Rule, format_presentation,
-                        reduce)
+from .rewriting import (Alphabet, NCPolynomial, RewriteSystem, Rule,
+                        format_presentation, reduce)
 from .scalars import RatFunc
 
 
@@ -310,10 +310,11 @@ def verify_pi(qv, image_overrides=None):
             out = out + term
         return out
 
+    system = RewriteSystem(fp.rules)
     checks = []
     for rule in hq.rules:
         image = substituted(NCPolynomial.monomial(rule.lhs) - rule.rhs)
-        residual = reduce(image, fp.rules)
+        residual = reduce(image, system)
         checks.append(PiCheck(rule.render(hq.alphabet), residual,
                               residual.is_zero()))
     return PiReport(checks), fp

@@ -21,7 +21,7 @@ rules present.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -106,6 +106,9 @@ class NCPolynomial:
         data = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for m, c in items:
+            if isinstance(c, float):
+                raise TypeError(f"inexact coefficient {c!r}; use an int, "
+                                "Fraction or RatFunc")
             _add_term(data, tuple(m), c)
         self.terms = data
 
@@ -212,7 +215,18 @@ def _render_term(mag, m, alphabet, first, neg):
 
 
 class RuleOrderError(ValueError):
-    """A proposed rule is not compatible with the deg-lex order."""
+    """A proposed rule is not compatible with the deg-lex order: rhs
+    `monomial` is not smaller than `lhs`."""
+
+    def __init__(self, lhs, monomial):
+        self.lhs, self.monomial = lhs, monomial
+        super().__init__(self.message(str))
+
+    def message(self, render):
+        """The error text with monomials shown by `render`."""
+        return (f"rule is not order-compatible: rhs monomial "
+                f"{render(self.monomial)} is not smaller than lhs "
+                f"{render(self.lhs)}")
 
 
 @dataclass(frozen=True)
@@ -227,9 +241,7 @@ class Rule:
             raise ValueError("rule left side must be a nonempty monomial")
         for m in self.rhs.terms:
             if not deglex_less(m, self.lhs):
-                raise RuleOrderError(
-                    f"rule is not order-compatible: rhs monomial {m} is not "
-                    f"smaller than lhs {self.lhs}")
+                raise RuleOrderError(self.lhs, m)
 
     def render(self, alphabet):
         return f"{alphabet.render(self.lhs)} -> {self.rhs.render(alphabet)}"
@@ -240,23 +252,51 @@ class Rule:
 # ---------------------------------------------------------------------------
 
 
-def _match_at(m, pos, rules):
-    """Best rule matching at pos: deg-lex-largest lhs, then lowest index."""
-    best = None
-    for idx, rule in enumerate(rules):
-        l = rule.lhs
-        if m[pos:pos + len(l)] == l:
-            if best is None or deglex_less(rules[best].lhs, l):
-                best = idx
-    return best
+@dataclass(frozen=True)
+class RewriteSystem:
+    """A rule tuple compiled for matching.
+
+    `index` maps each distinct lhs to the lowest rule index with that lhs;
+    `lengths` lists the distinct lhs lengths, longest first.
+    """
+
+    rules: Tuple[Rule, ...]
+    index: Dict[Monomial, int] = field(init=False, repr=False, compare=False)
+    lengths: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rules = tuple(self.rules)
+        index = {}
+        for i, rule in enumerate(rules):
+            index.setdefault(rule.lhs, i)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "lengths",
+                           tuple(sorted({len(l) for l in index}, reverse=True)))
+
+    @classmethod
+    def of(cls, rules):
+        """`rules` itself when already compiled, else its compilation."""
+        return rules if isinstance(rules, cls) else cls(rules)
 
 
-def _find_redex(m, rules, strategy):
-    positions = range(len(m)) if strategy == "leftmost" else range(len(m) - 1, -1, -1)
+def _find_redex(m, system, strategy):
+    """(pos, rule) of the first redex in strategy order, or None.
+
+    At one position at most one lhs of each length matches, so trying the
+    lengths longest first picks the deg-lex-largest matching lhs, and the
+    index holds the lowest rule index for it.
+    """
+    n = len(m)
+    positions = range(n) if strategy == "leftmost" else range(n - 1, -1, -1)
+    index, lengths = system.index, system.lengths
     for pos in positions:
-        idx = _match_at(m, pos, rules)
-        if idx is not None:
-            return pos, rules[idx]
+        room = n - pos
+        for size in lengths:
+            if size <= room:
+                idx = index.get(m[pos:pos + size])
+                if idx is not None:
+                    return pos, system.rules[idx]
     return None
 
 
@@ -274,16 +314,17 @@ def reduce(p, rules, strategy="leftmost"):
     Terminates for order-compatible rules because every step replaces a
     monomial by strictly smaller ones.  For confluent systems the result is
     strategy-independent; 'leftmost' and 'rightmost' pick which occurrence
-    fires first.
+    fires first.  `rules` is a rule sequence or a compiled `RewriteSystem`.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    system = RewriteSystem.of(rules)
     work = dict(p.terms)
     done: Dict[Monomial, object] = {}
     while work:
         m = max(work, key=deglex_key)
         c = work.pop(m)
-        hit = _find_redex(m, rules, strategy)
+        hit = _find_redex(m, system, strategy)
         if hit is None:
             _add_term(done, m, c)
             continue
@@ -346,8 +387,10 @@ def find_ambiguities(rules):
 
 def resolve(amb, rules):
     """Reduce the witness along both parent rules; (resolved, residual)."""
-    r1 = reduce(apply_rule_at(amb.witness, rules[amb.i], amb.pos_i), rules)
-    r2 = reduce(apply_rule_at(amb.witness, rules[amb.j], amb.pos_j), rules)
+    system = RewriteSystem.of(rules)
+    rules = system.rules
+    r1 = reduce(apply_rule_at(amb.witness, rules[amb.i], amb.pos_i), system)
+    r2 = reduce(apply_rule_at(amb.witness, rules[amb.j], amb.pos_j), system)
     residual = r1 - r2
     return residual.is_zero(), residual
 
@@ -399,9 +442,10 @@ class ConfluenceReport:
 
 def confluent(rules):
     """Resolve every ambiguity; report ok plus per-ambiguity residuals."""
+    system = RewriteSystem.of(rules)
     results = []
-    for amb in find_ambiguities(rules):
-        ok, residual = resolve(amb, rules)
+    for amb in find_ambiguities(system.rules):
+        ok, residual = resolve(amb, system)
         results.append(AmbiguityResult(amb, ok, residual))
     return ConfluenceReport(results)
 
@@ -415,9 +459,10 @@ class EnumerationBound(ValueError):
     pass
 
 
-def _ends_with_lhs(word, lhss):
-    return any(len(l) <= len(word) and word[len(word) - len(l):] == l
-               for l in lhss)
+def _ends_with_lhs(word, system):
+    # a suffix longer than the word is the word itself, which is then an lhs
+    index = system.index
+    return any(word[-size:] in index for size in system.lengths)
 
 
 def reduced_monomials(rules, alphabet, max_len, limit=10 ** 6):
@@ -425,7 +470,7 @@ def reduced_monomials(rules, alphabet, max_len, limit=10 ** 6):
 
     Canonical (length, lex) order; enumeration aborts past `limit` entries.
     """
-    lhss = [r.lhs for r in rules]
+    system = RewriteSystem.of(rules)
     out = [()]
     level = [()]
     letters = range(len(alphabet))
@@ -434,7 +479,7 @@ def reduced_monomials(rules, alphabet, max_len, limit=10 ** 6):
         for w in level:
             for g in letters:
                 w2 = w + (g,)
-                if not _ends_with_lhs(w2, lhss):
+                if not _ends_with_lhs(w2, system):
                     nxt.append(w2)
                     if len(out) + len(nxt) > limit:
                         raise EnumerationBound(
@@ -452,11 +497,11 @@ def is_free_family(rules, alphabet, subset, max_len, limit=10 ** 6):
     """
     subset = tuple(alphabet.index(s) if isinstance(s, str) else int(s)
                    for s in subset)
-    report = confluent(rules)
+    system = RewriteSystem.of(rules)
+    report = confluent(system)
     if not report.ok:
         raise ValueError("rewrite system is not confluent; "
                          "the reduced-monomial basis is unavailable")
-    lhss = [r.lhs for r in rules]
     level = [()]
     count = 1
     for _ in range(max_len):
@@ -464,7 +509,7 @@ def is_free_family(rules, alphabet, subset, max_len, limit=10 ** 6):
         for w in level:
             for g in subset:
                 w2 = w + (g,)
-                if _ends_with_lhs(w2, lhss):
+                if _ends_with_lhs(w2, system):
                     return False
                 nxt.append(w2)
         count += len(nxt)
@@ -597,5 +642,9 @@ def parse_presentation(text):
             raise ParseError(f"invalid rule left side {lhs_text.strip()!r}",
                              line=no, col=1)
         rhs = _parse_poly_text(rhs_text.strip(), alphabet, no)
-        rules.append(Rule(lhs, rhs))
+        try:
+            rules.append(Rule(lhs, rhs))
+        except RuleOrderError as exc:
+            raise ParseError(exc.message(alphabet.render),
+                             line=no, col=1) from None
     return alphabet, rules

@@ -36,13 +36,20 @@ class ParseError(ValueError):
         return f"{self.message}{where}"
 
 
+def _exact(c):
+    """Fraction of an exact number; floats are refused, not rounded."""
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}; use an int or Fraction")
+    return Fraction(c)
+
+
 class Poly:
     """Dense univariate polynomial over Q; coefficients ascending by power."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -154,6 +161,15 @@ class Poly:
         return a.monic()
 
 
+def _poly(coeffs):
+    """Poly from a tuple of Fractions that already ends in a nonzero one."""
+    p = Poly.__new__(Poly)
+    p.coeffs = coeffs
+    return p
+
+
+_F_ZERO = Fraction(0)
+_F_ONE = Fraction(1)
 _P_ZERO = Poly()
 _P_ONE = Poly([1])
 _P_Q = Poly([0, 1])
@@ -166,13 +182,31 @@ class RatFunc:
 
     def __init__(self, num, den=_P_ONE):
         if not isinstance(num, Poly):
-            num = Poly([Fraction(num)])
+            num = Poly([num])
         if not isinstance(den, Poly):
-            den = Poly([Fraction(den)])
+            den = Poly([den])
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             self.num, self.den = _P_ZERO, _P_ONE
+            return
+        dc = den.coeffs
+        if not any(dc[:-1]):
+            # den = lc*q^k, so gcd(num, den) = q^min(val(num), k)
+            k = len(dc) - 1
+            nc = num.coeffs
+            s = 0
+            while s < k and not nc[s]:
+                s += 1
+            lc = dc[-1]
+            if lc != 1:
+                nc = tuple(c / lc for c in nc)
+            elif not s:
+                self.num, self.den = num, den
+                return
+            self.num = _poly(nc[s:])
+            self.den = _P_ONE if s == k else _poly((_F_ZERO,) * (k - s)
+                                                   + (_F_ONE,))
             return
         g = Poly.gcd(num, den)
         if g.degree() > 0:

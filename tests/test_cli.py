@@ -119,6 +119,15 @@ def test_check_file_preset(tmp_path, capsys):
     assert code == 0 and "confluent: True" in out
 
 
+def test_file_rule_order_error_names_line_and_generators(tmp_path, capsys):
+    path = tmp_path / "pres.txt"
+    path.write_text("generators:\na\nb\nrules:\nb.a -> a.b\na.b -> b.a\n")
+    code, out, err = run(capsys, "check", "file", "--file", str(path))
+    assert code == 2 and out == ""
+    assert "rhs monomial b.a is not smaller than lhs a.b" in err
+    assert "(line 6, column 1)" in err
+
+
 def test_basis_and_free_check(capsys, tmp_path):
     code, out, _ = run(capsys, "basis", "slq2", "--max-len", "2")
     assert code == 0

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from cosovereign import (Alphabet, EnumerationBound, NCPolynomial, ParseError,
-                         Rule, RuleOrderError, apply_rule_at, confluent,
+                         RewriteSystem, Rule, RuleOrderError, apply_rule_at,
+                         confluent,
                          find_ambiguities, format_presentation, is_free_family,
                          parse_presentation, reduce, reduced_monomials,
                          resolve, q)
+from cosovereign.rewriting import _add_term, _find_redex, deglex_key, deglex_less
 
 
 def mono(alphabet, text):
@@ -203,3 +206,104 @@ b.a -> (q^2)*a.b - 1/2*a + 3
     assert rhs.coefficient(alphabet.word("a", "b")) == q ** 2
     assert rhs.coefficient(alphabet.word("a")) == Fraction(-1, 2)
     assert rhs.coefficient(()) == 3
+
+
+def test_ncpolynomial_rejects_floats():
+    with pytest.raises(TypeError, match="inexact"):
+        NCPolynomial({(0,): 0.5})
+
+
+# -- the indexed matcher against a linear scan over every rule --------------
+
+
+def _scan_match_at(m, pos, rules):
+    """Best rule matching at pos: deg-lex-largest lhs, then lowest index."""
+    best = None
+    for idx, rule in enumerate(rules):
+        l = rule.lhs
+        if m[pos:pos + len(l)] == l:
+            if best is None or deglex_less(rules[best].lhs, l):
+                best = idx
+    return best
+
+
+def _scan_find_redex(m, rules, strategy):
+    positions = range(len(m)) if strategy == "leftmost" else range(len(m) - 1, -1, -1)
+    for pos in positions:
+        idx = _scan_match_at(m, pos, rules)
+        if idx is not None:
+            return pos, rules[idx]
+    return None
+
+
+def _scan_reduce(p, rules, strategy):
+    work = dict(p.terms)
+    done = {}
+    while work:
+        m = max(work, key=deglex_key)
+        c = work.pop(m)
+        hit = _scan_find_redex(m, rules, strategy)
+        if hit is None:
+            _add_term(done, m, c)
+            continue
+        pos, rule = hit
+        a, b = m[:pos], m[pos + len(rule.lhs):]
+        for t, cc in rule.rhs.terms.items():
+            _add_term(work, a + t + b, c * cc)
+    return NCPolynomial(done)
+
+
+_LETTERS = 3
+_words = st.lists(st.integers(0, _LETTERS - 1), max_size=7).map(tuple)
+
+
+@st.composite
+def _rule_systems(draw):
+    """Order-compatible rules over three letters; some lhs are repeated and
+    some sit inside others."""
+    lhss = draw(st.lists(st.lists(st.integers(0, _LETTERS - 1), min_size=1,
+                                  max_size=4).map(tuple),
+                         min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        l = draw(st.sampled_from(lhss))
+        lo = draw(st.integers(0, len(l) - 1))
+        hi = draw(st.integers(lo + 1, len(l)))
+        lhss.insert(draw(st.integers(0, len(lhss))), l[lo:hi])
+    for _ in range(draw(st.integers(0, 2))):
+        lhss.insert(draw(st.integers(0, len(lhss))), draw(st.sampled_from(lhss)))
+    rules = []
+    for l in lhss:
+        smaller = draw(st.lists(
+            st.lists(st.integers(0, _LETTERS - 1), max_size=len(l)).map(tuple)
+            .filter(lambda m, l=l: deglex_less(m, l)), max_size=3))
+        rhs = NCPolynomial({m: Fraction(draw(st.integers(-3, 3)))
+                            for m in smaller})
+        rules.append(Rule(l, rhs))
+    return rules
+
+
+@seed(1978)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_rule_systems(), st.lists(_words, min_size=1, max_size=6),
+       st.sampled_from(["leftmost", "rightmost"]))
+def test_indexed_redex_matches_linear_scan(rules, words, strategy):
+    system = RewriteSystem(rules)
+    for m in words:
+        assert _find_redex(m, system, strategy) == \
+            _scan_find_redex(m, rules, strategy)
+    p = NCPolynomial({m: Fraction(i + 1) for i, m in enumerate(words)})
+    assert reduce(p, system, strategy) == _scan_reduce(p, rules, strategy)
+    assert reduce(p, rules, strategy) == _scan_reduce(p, rules, strategy)
+
+
+def test_compiled_system_is_accepted_everywhere(ab):
+    rules = [Rule(mono(ab, "a.b"), NCPolynomial({(): Fraction(1)})),
+             Rule(mono(ab, "b.a"), NCPolynomial({(): Fraction(1)})),
+             Rule(mono(ab, "a.b"), poly(ab, {"a": 1}))]
+    system = RewriteSystem(rules)
+    assert system.index == {mono(ab, "a.b"): 0, mono(ab, "b.a"): 1}
+    assert RewriteSystem.of(system) is system
+    p = poly(ab, {"a.b.a": 1})
+    assert reduce(p, system) == reduce(p, rules)
+    assert confluent(system).to_payload(ab) == confluent(rules).to_payload(ab)
+    assert reduced_monomials(system, ab, 3) == reduced_monomials(rules, ab, 3)

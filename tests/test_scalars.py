@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import given, seed, settings, strategies as st
 
 from cosovereign import ParseError, Poly, RatFunc, format_scalar, parse_scalar, q
 
@@ -94,3 +95,57 @@ def test_poly_divmod_and_gcd():
     a = Poly([1, 1]) * Poly([-2, 1])
     b = Poly([1, 1]) * Poly([3, 1])
     assert Poly.gcd(a, b) == Poly([1, 1])
+
+
+def test_poly_rejects_floats():
+    with pytest.raises(TypeError, match="inexact"):
+        Poly([1, 0.1])
+
+
+def test_ratfunc_rejects_floats():
+    with pytest.raises(TypeError, match="inexact"):
+        RatFunc(0.5)
+    with pytest.raises(TypeError, match="inexact"):
+        RatFunc(1, 0.5)
+
+
+def _euclidean_canonical(num, den):
+    """Canonical form by a Euclidean gcd, the path general denominators take."""
+    if num.is_zero():
+        return Poly(), Poly([1])
+    g = Poly.gcd(num, den)
+    num, den = num // g, den // g
+    lc = den.leading()
+    return num * (1 / lc), den * (1 / lc)
+
+
+def _sympy_canonical(num, den):
+    x = sympy.Symbol("q")
+
+    def expr(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                   for i, c in enumerate(p.coeffs))
+
+    n, d = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
+    lc = sympy.Poly(d, x).LC()
+
+    def ours(e):
+        cs = reversed(sympy.Poly(e / lc, x).all_coeffs())
+        return Poly([Fraction(int(c.p), int(c.q)) for c in cs])
+
+    return ours(n), ours(d)
+
+
+@seed(2002)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(-6, 6), max_size=7),
+       _fracs.filter(lambda c: c != 0), st.integers(0, 5))
+def test_laurent_denominator_matches_euclidean_and_sympy(coeffs, c, k):
+    num = Poly(coeffs)
+    den = Poly([0] * k + [c])
+    r = RatFunc(num, den)
+    expected = _euclidean_canonical(num, den)
+    assert (r.num, r.den) == expected
+    assert all(type(x) is Fraction for x in r.num.coeffs + r.den.coeffs)
+    if not num.is_zero():
+        assert (r.num, r.den) == _sympy_canonical(num, den)
