@@ -19,7 +19,6 @@ single alternated word with coefficient one.
 
 from __future__ import annotations
 
-import functools
 import re
 
 from .scalars import ParseError
@@ -226,18 +225,17 @@ PSI_A = ((Z, 1), (V, 1))
 PSI_B = ((V, 1), (Z, -1))
 
 
-@functools.lru_cache(maxsize=None)
 def psi(x):
     """Image of a fusion-monoid word in the free-product representation ring."""
-    if not x:
-        return RepElement.trivial
-    rest = x[1:]
-    head = RepElement({PSI_A if x[0] == "a" else PSI_B: 1})
-    out = multiply(head, psi(rest))
-    other = "b" if x[0] == "a" else "a"
-    if rest.startswith(other):
-        out = out - psi(rest[1:])
-    return out
+    # right to left over suffixes: p1 = psi(x[i+1:]), p2 = psi(x[i+2:])
+    p1, p2 = RepElement.trivial, None
+    for i in range(len(x) - 1, -1, -1):
+        head = RepElement({PSI_A if x[i] == "a" else PSI_B: 1})
+        out = multiply(head, p1)
+        if i + 1 < len(x) and x[i + 1] != x[i]:
+            out = out - p2
+        p1, p2 = out, p1
+    return p1
 
 
 def psi_word(x):

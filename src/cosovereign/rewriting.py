@@ -87,11 +87,11 @@ def deglex_less(a, b):
 def _add_term(terms, m, c):
     cur = terms.get(m)
     if cur is None:
-        if c != 0:
+        if c:
             terms[m] = c
         return
     cur = cur + c
-    if cur == 0:
+    if not cur:
         del terms[m]
     else:
         terms[m] = cur
@@ -562,24 +562,28 @@ def _try_monomial(text, alphabet):
     return None
 
 
-def _parse_poly_text(text, alphabet, line_no):
+def _parse_poly_text(text, alphabet, line_no, col):
+    """Polynomial from stripped `text`, which starts at 1-based `col`."""
     terms = {}
-    for chunk in _split_top_level(text, "+-"):
-        chunk = chunk.strip()
+    for part in _split_top_level(text, "+-"):
+        # every part starts at a sign or at the start of the text
+        chunk = part.rstrip()
+        at, col = col, col + len(part)
         sign = 1
-        if chunk.startswith("+"):
-            chunk = chunk[1:].strip()
-        elif chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:].strip()
-        if not chunk:
-            raise ParseError("empty term in polynomial", line=line_no, col=1)
-        coeff, mono = _parse_term_text(chunk, alphabet, line_no)
+        if chunk[0] in "+-":
+            sign = -1 if chunk[0] == "-" else 1
+            body = chunk[1:].lstrip()
+            if not body:
+                raise ParseError("empty term in polynomial", line=line_no,
+                                 col=at)
+            at += len(chunk) - len(body)
+            chunk = body
+        coeff, mono = _parse_term_text(chunk, alphabet, line_no, at)
         _add_term(terms, mono, -coeff if sign < 0 else coeff)
     return NCPolynomial(terms)
 
 
-def _parse_term_text(chunk, alphabet, line_no):
+def _parse_term_text(chunk, alphabet, line_no, col):
     mono = _try_monomial(chunk, alphabet)
     if mono is not None:
         return Fraction(1), mono
@@ -598,13 +602,14 @@ def _parse_term_text(chunk, alphabet, line_no):
             try:
                 coeff = parse_scalar(chunk[:pos].strip())
             except ParseError as exc:
-                raise ParseError(exc.message, line=line_no, col=1) from None
+                raise ParseError(exc.message, line=line_no,
+                                 col=col + exc.pos) from None
             return coeff, mono
     try:
         coeff = parse_scalar(chunk)
     except ParseError as exc:
         raise ParseError(f"not a term: {chunk!r} ({exc.message})",
-                         line=line_no, col=1) from None
+                         line=line_no, col=col) from None
     return coeff, ()
 
 
@@ -626,25 +631,30 @@ def parse_presentation(text):
         if section == "generators":
             names.append(line)
         elif section == "rules":
-            rule_lines.append((no, line))
+            rule_lines.append((no, raw))
         else:
-            raise ParseError("expected 'generators:' section first", line=no, col=1)
+            raise ParseError("expected 'generators:' section first", line=no,
+                             col=len(raw) - len(raw.lstrip()) + 1)
     if not names:
         raise ParseError("no generators declared", line=1, col=1)
     alphabet = Alphabet(names)
     rules = []
-    for no, line in rule_lines:
-        if "->" not in line:
-            raise ParseError("rule line needs '->'", line=no, col=1)
-        lhs_text, rhs_text = line.split("->", 1)
+    for no, raw in rule_lines:
+        # column of the first character, which is where the lhs starts
+        col = len(raw) - len(raw.lstrip()) + 1
+        if "->" not in raw:
+            raise ParseError("rule line needs '->'", line=no, col=col)
+        arrow = raw.index("->")
+        lhs_text, rhs_text = raw[:arrow], raw[arrow + 2:]
         lhs = _try_monomial(lhs_text, alphabet)
         if not lhs:
             raise ParseError(f"invalid rule left side {lhs_text.strip()!r}",
-                             line=no, col=1)
-        rhs = _parse_poly_text(rhs_text.strip(), alphabet, no)
+                             line=no, col=col)
+        rhs_col = arrow + 3 + len(rhs_text) - len(rhs_text.lstrip())
+        rhs = _parse_poly_text(rhs_text.strip(), alphabet, no, rhs_col)
         try:
             rules.append(Rule(lhs, rhs))
         except RuleOrderError as exc:
             raise ParseError(exc.message(alphabet.render),
-                             line=no, col=1) from None
+                             line=no, col=col) from None
     return alphabet, rules

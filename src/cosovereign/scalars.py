@@ -73,9 +73,9 @@ class Poly:
 
     def shift(self, k):
         """Multiply by q**k, k >= 0."""
-        if self.is_zero():
+        if not k or not self.coeffs:
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return _poly((_F_ZERO,) * k + self.coeffs)
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -95,14 +95,17 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Fraction) or isinstance(other, int):
             return Poly(c * other for c in self.coeffs)
-        if self.is_zero() or other.is_zero():
+        xs, ys = self.coeffs, other.coeffs
+        if not xs or not ys:
             return _P_ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [_F_ZERO] * (len(xs) + len(ys) - 1)
+        ys = [(j, b) for j, b in enumerate(ys) if b]
+        for i, a in enumerate(xs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in ys:
                     out[i + j] += a * b
-        return Poly(out)
+        # the product of the two nonzero leading coefficients stays nonzero
+        return _poly(tuple(out))
 
     __rmul__ = __mul__
 
@@ -175,6 +178,17 @@ _P_ONE = Poly([1])
 _P_Q = Poly([0, 1])
 
 
+def _q_power(k):
+    """q**k, k >= 0."""
+    return _poly((_F_ZERO,) * k + (_F_ONE,)) if k else _P_ONE
+
+
+def _q_exponent(p):
+    """k when the monic p is q**k, else None."""
+    cs = p.coeffs
+    return None if any(cs[:-1]) else len(cs) - 1
+
+
 class RatFunc:
     """Reduced quotient of two ``Poly`` values; the denominator is monic."""
 
@@ -205,8 +219,7 @@ class RatFunc:
                 self.num, self.den = num, den
                 return
             self.num = _poly(nc[s:])
-            self.den = _P_ONE if s == k else _poly((_F_ZERO,) * (k - s)
-                                                   + (_F_ONE,))
+            self.den = _q_power(k - s)
             return
         g = Poly.gcd(num, den)
         if g.degree() > 0:
@@ -240,19 +253,28 @@ class RatFunc:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign*other, sign being 1 or -1."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        ks, ko = _q_exponent(self.den), _q_exponent(o.den)
+        if ks is None or ko is None:
+            a, b, den = self.num * o.den, o.num * self.den, self.den * o.den
+        elif ks >= ko:
+            # q^k denominators: shift the numerators onto the larger one
+            a, b, den = self.num, o.num.shift(ks - ko), self.den
+        else:
+            a, b, den = self.num.shift(ko - ks), o.num, o.den
+        return RatFunc(a + b if sign > 0 else a - b, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -267,7 +289,12 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
+        ks, ko = _q_exponent(self.den), _q_exponent(o.den)
+        if ks is None or ko is None:
+            den = self.den * o.den
+        else:
+            den = _q_power(ks + ko)
+        return RatFunc(self.num * o.num, den)
 
     __rmul__ = __mul__
 
@@ -295,10 +322,16 @@ class RatFunc:
         return RatFunc(self.num ** k, self.den ** k)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, RatFunc):
+            return (self.num.coeffs == other.num.coeffs
+                    and self.den.coeffs == other.den.coeffs)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        # the canonical form of a constant c is c/1, and of zero 0/1
+        nc = self.num.coeffs
+        if not other:
+            return not nc
+        return len(self.den.coeffs) == 1 and len(nc) == 1 and nc[0] == other
 
     def __hash__(self):
         # constants hash like the Fraction they equal
@@ -376,21 +409,12 @@ def _laurent_str(pairs, compact):
     return "".join(parts) if parts else "0"
 
 
-def _is_q_power(poly):
-    """Exponent m when poly == q**m, else None."""
-    if poly.is_zero():
-        return None
-    if any(c for c in poly.coeffs[:-1]) or poly.leading() != 1:
-        return None
-    return poly.degree()
-
-
 def format_scalar(s, compact=False):
     if isinstance(s, (int, Fraction)):
         return str(s)
     if s.is_zero():
         return "0"
-    m = _is_q_power(s.den)
+    m = _q_exponent(s.den)
     if m is not None:
         return _laurent_str(_laurent_terms(s.num, -m), compact)
     num = _laurent_str(_laurent_terms(s.num, 0), compact)
@@ -502,7 +526,7 @@ def _laurent_to_scalar(terms, saw_q):
     coeffs = [Fraction(0)] * (max(terms) + shift + 1)
     for k, c in terms.items():
         coeffs[k + shift] = c
-    return RatFunc(Poly(coeffs), _P_Q ** shift)
+    return RatFunc(Poly(coeffs), _q_power(shift))
 
 
 def parse_scalar(text, offset=0):

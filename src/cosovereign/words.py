@@ -15,7 +15,6 @@ first letter to get y'), and symmetrically.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .scalars import ParseError
@@ -178,24 +177,19 @@ def fuse(x, y):
     return _odot_words(x, y)
 
 
-@functools.lru_cache(maxsize=None)
-def _dim(x, n):
-    if not x:
-        return 1
-    rest = x[1:]
-    other = "b" if x[0] == "a" else "a"
-    d = n * _dim(rest, n)
-    if rest.startswith(other):
-        d -= _dim(rest[1:], n)
-    return d
-
-
 def dim(x, n):
     """Dimension of U_x when the fundamental comodule has dimension n >= 2."""
     n = int(n)
     if n <= 1:
         raise ValueError(f"dimension parameter must be at least 2, got {n}")
-    return _dim(x, n)
+    # right to left over suffixes: d1 = dim(x[i+1:]), d2 = dim(x[i+2:])
+    d1, d2 = 1, 0
+    for i in range(len(x) - 1, -1, -1):
+        d = n * d1
+        if i + 1 < len(x) and x[i + 1] != x[i]:
+            d -= d2
+        d1, d2 = d, d1
+    return d1
 
 
 def dim_element(fe, n):

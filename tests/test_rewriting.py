@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,19 @@ def test_parse_presentation_errors():
         parse_presentation("generators:\na\nrules:\nc -> 1\n")
     with pytest.raises(ParseError):
         parse_presentation("generators:\na\nrules:\na.a -> 2*z\n")
+
+
+@pytest.mark.parametrize("rules, line, col, message", [
+    ("  c -> 1", 4, 3, "left side 'c'"),
+    ("a.a -> a + 2*z", 4, 12, "not a term: '2*z'"),
+    ("a.a ->  a - 1/0*a", 4, 16, "zero denominator"),
+    ("a.a -> a +", 4, 10, "empty term"),
+    ("a.a -> 1\n   a -> a.a", 5, 4, "not order-compatible"),
+])
+def test_parse_presentation_error_columns(rules, line, col, message):
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        parse_presentation(f"generators:\na\nrules:\n{rules}\n")
+    assert (exc.value.line, exc.value.col) == (line, col)
 
 
 def test_parse_presentation_terms():

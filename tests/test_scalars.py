@@ -149,3 +149,102 @@ def test_laurent_denominator_matches_euclidean_and_sympy(coeffs, c, k):
     assert all(type(x) is Fraction for x in r.num.coeffs + r.den.coeffs)
     if not num.is_zero():
         assert (r.num, r.den) == _sympy_canonical(num, den)
+
+
+# -- Laurent fast paths against the general cross-multiplication path --------
+
+def _schoolbook(a, b):
+    """Product of two Polys by the textbook double loop."""
+    if a.is_zero() or b.is_zero():
+        return Poly()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Poly(out)
+
+
+def _parts(x):
+    """(numerator, denominator) of a scalar, constants over 1."""
+    if isinstance(x, RatFunc):
+        return x.num, x.den
+    return Poly([x]), Poly([1])
+
+
+def _cross(op, a, b):
+    """Canonical (num, den) of `a op b` by cross-multiplying, or None when
+    dividing by zero."""
+    (an, ad), (bn, bd) = _parts(a), _parts(b)
+    if op == "+":
+        num = _schoolbook(an, bd) + _schoolbook(bn, ad)
+        den = _schoolbook(ad, bd)
+    elif op == "-":
+        num = _schoolbook(an, bd) - _schoolbook(bn, ad)
+        den = _schoolbook(ad, bd)
+    elif op == "*":
+        num, den = _schoolbook(an, bn), _schoolbook(ad, bd)
+    elif bn.is_zero():
+        return None
+    else:
+        num, den = _schoolbook(an, bd), _schoolbook(ad, bn)
+    return _euclidean_canonical(num, den)
+
+
+_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+_nonzero = _fracs.filter(lambda c: c != 0)
+_coeff_lists = st.lists(_fracs, max_size=5)
+_monomials = st.builds(lambda c, k: Poly([0] * k + [c]), _nonzero,
+                       st.integers(0, 6))
+_any_polys = st.one_of(_monomials, _coeff_lists.map(Poly), st.just(Poly()))
+# a nonzero constant term keeps the whole c*q^k denominator, k >= 1
+_laurents = st.builds(
+    lambda c, cs, d, k: RatFunc(Poly([c] + cs), Poly([0] * k + [d])),
+    _nonzero, _coeff_lists, _nonzero, st.integers(1, 6))
+_generals = st.builds(RatFunc, _coeff_lists.map(Poly),
+                      _coeff_lists.map(Poly).filter(lambda p: p.degree() > 0))
+_constants = st.one_of(st.integers(-4, 4), _fracs)
+_operands = st.one_of(_laurents, _constants, _generals,
+                      _coeff_lists.map(lambda cs: RatFunc(Poly(cs))))
+
+
+@seed(2002)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_any_polys, _any_polys)
+def test_poly_mul_matches_schoolbook(a, b):
+    p = a * b
+    assert p == _schoolbook(a, b)
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+
+
+@seed(2002)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(sorted(_OPS)), _laurents, _operands, st.booleans())
+def test_laurent_arithmetic_matches_cross_multiplication(op, r, x, flip):
+    a, b = (x, r) if flip else (r, x)
+    expected = _cross(op, a, b)
+    if expected is None:
+        with pytest.raises(ZeroDivisionError):
+            _OPS[op](a, b)
+        return
+    got = _OPS[op](a, b)
+    assert isinstance(got, RatFunc)
+    assert (got.num, got.den) == expected
+    assert hash(got) == hash(RatFunc(*expected))
+    if not expected[0].is_zero():
+        assert expected == _sympy_canonical(*expected)
+
+
+@seed(2002)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_constants, st.integers(0, 3), _constants)
+def test_constant_comparison_matches_general_path(c, k, d):
+    r = RatFunc(Poly([c]), Poly([0] * k + [1]))     # c / q^k
+    for x in (c, d, 0):
+        general = (r.num, r.den) == _parts(x)
+        assert (r == x) is general
+        if general:
+            assert hash(r) == hash(Fraction(x))
+    assert (r == c) is (k == 0 or c == 0)
