@@ -156,8 +156,9 @@ def build_hef(e, f, unchecked=False):
         "HEF", {"E": e, "F": f, "unchecked": unchecked}, alphabet, tuple(rules))
 
 
-#: H(q) generator names in order: matrix-v entries below matrix-u entries.
-HQ_NAMES = ("ds", "cs", "bs", "as", "a", "b", "c", "d")
+#: H(q) name of each H(E, F) generator at m = n = 2.
+HQ_OF_HEF = {"u11": "a", "u12": "b", "u21": "c", "u22": "d",
+             "v11": "as", "v12": "bs", "v21": "cs", "v22": "ds"}
 
 
 def matrix_fq(qv):
@@ -171,7 +172,7 @@ def build_hq(qv):
     qv = _check_q(qv)
     fq = matrix_fq(qv)
     hef = build_hef(fq, fq)
-    alphabet = Alphabet(HQ_NAMES)
+    alphabet = Alphabet(HQ_OF_HEF[name] for name in hef.alphabet.names)
     return PresentationSpec("HQ", {"q": qv}, alphabet, hef.rules)
 
 
@@ -179,7 +180,7 @@ def build_hplusq(qv):
     """H(q) extended by a grouplike t: the sixteen rules plus ten t-rules."""
     qv = _check_q(qv)
     hq = build_hq(qv)
-    alphabet = Alphabet(HQ_NAMES + ("ti", "t"))
+    alphabet = Alphabet(hq.alphabet.names + ("ti", "t"))
     g = alphabet.index
     one = Fraction(1)
     qinv = _inv_scalar(qv)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .scalars import ParseError
+from .scalars import Combination, ParseError, add_term
 
 Z, V = "Z", "V"
 
@@ -77,99 +77,33 @@ def parse_alt_word(text):
     return check_alt_word(factors)
 
 
-class RepElement:
-    """Finite integer combination of alternated words; immutable."""
+class RepElement(Combination):
+    """Finite combination of alternated words with exact coefficients
+    (integers in the representation ring); immutable."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=()):
-        data = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for w, c in items:
-            c = int(c)
-            if c:
-                w = tuple(w)
-                data[w] = data.get(w, 0) + c
-        self._terms = {w: c for w, c in data.items() if c}
+    __slots__ = ()
+    _order = staticmethod(lambda w: (-len(w), w))
 
     @classmethod
     def from_word(cls, w):
-        return cls({check_alt_word(w): 1})
-
-    trivial = None  # set below
-
-    def pairs(self):
-        return [(w, self._terms[w]) for w in
-                sorted(self._terms, key=lambda w: (-len(w), w))]
-
-    def coefficient(self, w):
-        return self._terms.get(tuple(w), 0)
-
-    def words(self):
-        return set(self._terms)
-
-    def is_zero(self):
-        return not self._terms
+        return cls._of({check_alt_word(w): 1})
 
     def single_word(self):
         """The unique coefficient-1 word, when the element is simple."""
-        if len(self._terms) != 1:
+        if len(self.terms) != 1:
             raise ValueError(f"not a single term: {self}")
-        ((w, c),) = self._terms.items()
+        ((w, c),) = self.terms.items()
         if c != 1:
             raise ValueError(f"coefficient {c} is not 1: {self}")
         return w
 
-    def __len__(self):
-        return len(self._terms)
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            out[w] = out.get(w, 0) + c
-        return RepElement(out)
-
-    def __sub__(self, other):
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            out[w] = out.get(w, 0) - c
-        return RepElement(out)
-
-    def __neg__(self):
-        return RepElement({w: -c for w, c in self._terms.items()})
-
-    def __rmul__(self, k):
-        return RepElement({w: k * c for w, c in self._terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, RepElement):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
     def render(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for w, c in self.pairs():
-            body = render_alt_word(w)
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}" if w else str(abs(c))
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return self._render(render_alt_word)
 
     __str__ = render
 
-    def __repr__(self):
-        return f"RepElement({self.render()!r})"
 
-
-RepElement.trivial = RepElement({(): 1})
+RepElement.trivial = RepElement._of({(): 1})
 
 
 def clebsch_gordan(i, j):
@@ -214,11 +148,11 @@ def multiply(u, v):
     """Tensor-product decomposition, bilinear over integer combinations."""
     ue, ve = _as_element(u), _as_element(v)
     out = {}
-    for wu, cu in ue.pairs():
-        for wv, cv in ve.pairs():
+    for wu, cu in ue.terms.items():
+        for wv, cv in ve.terms.items():
             for w, c in _mul_words(wu, wv).items():
-                out[w] = out.get(w, 0) + cu * cv * c
-    return RepElement(out)
+                add_term(out, w, cu * cv * c)
+    return RepElement._of(out)
 
 
 PSI_A = ((Z, 1), (V, 1))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .scalars import ParseError, format_scalar, parse_scalar, scalar_sign
+from .scalars import Combination, ParseError, add_term, parse_scalar
 
 Monomial = Tuple[int, ...]
 
@@ -84,75 +84,18 @@ def deglex_less(a, b):
     return deglex_key(a) < deglex_key(b)
 
 
-def _add_term(terms, m, c):
-    cur = terms.get(m)
-    if cur is None:
-        if c:
-            terms[m] = c
-        return
-    cur = cur + c
-    if not cur:
-        del terms[m]
-    else:
-        terms[m] = cur
-
-
-class NCPolynomial:
+class NCPolynomial(Combination):
     """Finite scalar combination of monomials; immutable, zero-free."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        data = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for m, c in items:
-            if isinstance(c, float):
-                raise TypeError(f"inexact coefficient {c!r}; use an int, "
-                                "Fraction or RatFunc")
-            _add_term(data, tuple(m), c)
-        self.terms = data
+    __slots__ = ()
+    # deg-lex descending: longest first, then larger generators first
+    _order = staticmethod(lambda m: (-len(m), tuple(-g for g in m)))
 
     @classmethod
     def monomial(cls, m, coeff=1):
         return cls({tuple(m): coeff})
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def is_zero(self):
-        return not self.terms
-
-    def monomials(self):
-        return sorted(self.terms, key=deglex_key, reverse=True)
-
-    def leading_monomial(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=deglex_key)
-
-    def coefficient(self, m):
-        return self.terms.get(tuple(m), 0)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _add_term(out, m, c)
-        return NCPolynomial(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _add_term(out, m, -c)
-        return NCPolynomial(out)
-
-    def __neg__(self):
-        return NCPolynomial({m: -c for m, c in self.terms.items()})
-
-    def scaled(self, k):
-        if k == 0:
-            return NCPolynomial()
-        return NCPolynomial({m: k * c for m, c in self.terms.items()})
+    scaled = Combination.__rmul__
 
     def __mul__(self, other):
         """Concatenation product."""
@@ -161,57 +104,11 @@ class NCPolynomial:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                _add_term(out, m1 + m2, c1 * c2)
-        return NCPolynomial(out)
-
-    def __eq__(self, other):
-        if isinstance(other, NCPolynomial):
-            if set(self.terms) != set(other.terms):
-                return False
-            return all(other.terms[m] == c for m, c in self.terms.items())
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset((m, str(c)) for m, c in self.terms.items()))
+                add_term(out, m1 + m2, c1 * c2)
+        return self._of(out)
 
     def render(self, alphabet):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in self.monomials():
-            c = self.terms[m]
-            neg = scalar_sign(c) < 0
-            mag = -c if neg else c
-            parts.append(_render_term(mag, m, alphabet, first=not parts, neg=neg))
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"NCPolynomial({dict(self.terms)!r})"
-
-
-def _coeff_text(c):
-    text = format_scalar(c, compact=True)
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0:
-            return f"({text})"
-    return text
-
-
-def _render_term(mag, m, alphabet, first, neg):
-    if not m:
-        body = _coeff_text(mag)
-    elif mag == 1:
-        body = alphabet.render(m)
-    else:
-        body = f"{_coeff_text(mag)}*{alphabet.render(m)}"
-    if first:
-        return f"-{body}" if neg else body
-    return f" - {body}" if neg else f" + {body}"
+        return self._render(alphabet.render)
 
 
 class RuleOrderError(ValueError):
@@ -305,7 +202,7 @@ def apply_rule_at(m, rule, pos):
     if m[pos:pos + len(rule.lhs)] != rule.lhs:
         raise ValueError("rule does not match at given position")
     a, b = m[:pos], m[pos + len(rule.lhs):]
-    return NCPolynomial({a + t + b: c for t, c in rule.rhs.terms.items()})
+    return NCPolynomial._of({a + t + b: c for t, c in rule.rhs.terms.items()})
 
 
 def reduce(p, rules, strategy="leftmost"):
@@ -326,13 +223,13 @@ def reduce(p, rules, strategy="leftmost"):
         c = work.pop(m)
         hit = _find_redex(m, system, strategy)
         if hit is None:
-            _add_term(done, m, c)
+            add_term(done, m, c)
             continue
         pos, rule = hit
         a, b = m[:pos], m[pos + len(rule.lhs):]
         for t, cc in rule.rhs.terms.items():
-            _add_term(work, a + t + b, c * cc)
-    return NCPolynomial(done)
+            add_term(work, a + t + b, c * cc)
+    return NCPolynomial._of(done)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +476,8 @@ def _parse_poly_text(text, alphabet, line_no, col):
             at += len(chunk) - len(body)
             chunk = body
         coeff, mono = _parse_term_text(chunk, alphabet, line_no, at)
-        _add_term(terms, mono, -coeff if sign < 0 else coeff)
-    return NCPolynomial(terms)
+        add_term(terms, mono, -coeff if sign < 0 else coeff)
+    return NCPolynomial._of(terms)
 
 
 def _parse_term_text(chunk, alphabet, line_no, col):

@@ -423,6 +423,130 @@ def format_scalar(s, compact=False):
 
 
 # ---------------------------------------------------------------------------
+# finite linear combinations
+# ---------------------------------------------------------------------------
+
+
+def add_term(terms, key, c):
+    """terms[key] += c, keeping the dict free of zero coefficients."""
+    cur = terms.get(key)
+    if cur is None:
+        if c:
+            terms[key] = c
+        return
+    cur = cur + c
+    if not cur:
+        del terms[key]
+    else:
+        terms[key] = cur
+
+
+def _coeff_text(c):
+    """A coefficient magnitude, parenthesized when it is a sum."""
+    text = format_scalar(c, compact=True)
+    depth = 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0:
+            return f"({text})"
+    return text
+
+
+class Combination:
+    """Finite combination of hashable keys with exact scalar coefficients;
+    immutable and zero-free.
+
+    Subclasses set `_order`, the sort key that puts the leading term first.
+    A term on the empty key (the unit) renders as its coefficient alone,
+    unless that is 1 or -1.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=()):
+        data = {}
+        items = terms.items() if hasattr(terms, "items") else terms
+        for k, c in items:
+            if isinstance(c, float):
+                raise TypeError(f"inexact coefficient {c!r}; use an int, "
+                                "Fraction or RatFunc")
+            add_term(data, k, c)
+        self.terms = data
+
+    @classmethod
+    def _of(cls, terms):
+        """Wrap a dict that is already zero-free, without copying it."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    def is_zero(self):
+        return not self.terms
+
+    def __len__(self):
+        return len(self.terms)
+
+    def coefficient(self, key):
+        return self.terms.get(key, 0)
+
+    def pairs(self):
+        """(key, coefficient) pairs, leading term first."""
+        terms = self.terms
+        return [(k, terms[k]) for k in sorted(terms, key=self._order)]
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(out, k, c)
+        return self._of(out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(out, k, -c)
+        return self._of(out)
+
+    def __neg__(self):
+        return self._of({k: -c for k, c in self.terms.items()})
+
+    def __rmul__(self, s):
+        return type(self)({k: s * c for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        # consistent with ==: a constant RatFunc hashes like its Fraction
+        return hash(frozenset(self.terms.items()))
+
+    def _render(self, render_key):
+        parts = []
+        for k, c in self.pairs():
+            neg = scalar_sign(c) < 0
+            mag = -c if neg else c
+            if mag == 1:
+                body = render_key(k)
+            elif k:
+                body = f"{_coeff_text(mag)}*{render_key(k)}"
+            else:
+                body = _coeff_text(mag)
+            if parts:
+                parts.append(" - " if neg else " + ")
+            elif neg:
+                parts.append("-")
+            parts.append(body)
+        return "".join(parts) or "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+# ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
 

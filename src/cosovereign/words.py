@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .scalars import ParseError
+from .scalars import Combination, ParseError, add_term
 
 LETTERS = "ab"
 _BAR = str.maketrans("ab", "ba")
@@ -53,86 +53,21 @@ def dual(x):
     return bar(x)
 
 
-class FusionElement:
-    """Finite integer combination of words; immutable."""
+class FusionElement(Combination):
+    """Finite combination of words with exact coefficients (integers in the
+    fusion ring); immutable."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=()):
-        data = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for w, c in items:
-            c = int(c)
-            if c:
-                data[w] = data.get(w, 0) + c
-        self._terms = {w: c for w, c in data.items() if c}
+    __slots__ = ()
+    _order = staticmethod(lambda w: (-len(w), w))
 
     @classmethod
     def from_word(cls, w):
-        return cls({w: 1})
-
-    def coefficient(self, w):
-        return self._terms.get(w, 0)
-
-    def pairs(self):
-        """(word, multiplicity) pairs, leading term first."""
-        return [(w, self._terms[w]) for w in
-                sorted(self._terms, key=lambda w: (-len(w), w))]
-
-    def words(self):
-        return set(self._terms)
-
-    def is_zero(self):
-        return not self._terms
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __iter__(self):
-        return iter(self.pairs())
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            out[w] = out.get(w, 0) + c
-        return FusionElement(out)
-
-    def __sub__(self, other):
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            out[w] = out.get(w, 0) - c
-        return FusionElement(out)
-
-    def __neg__(self):
-        return FusionElement({w: -c for w, c in self._terms.items()})
-
-    def __rmul__(self, k):
-        return FusionElement({w: k * c for w, c in self._terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, FusionElement):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return cls._of({w: 1})
 
     def render(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for w, c in self.pairs():
-            body = word_str(w) if abs(c) == 1 else f"{abs(c)}*{word_str(w)}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return self._render(word_str)
 
     __str__ = render
-
-    def __repr__(self):
-        return f"FusionElement({self.render()!r})"
 
     def to_pairs(self):
         """JSON-ready [word, multiplicity] pairs, leading term first."""
@@ -151,7 +86,7 @@ def _odot_words(x, y):
         if y.startswith(gb):
             w = a + y[len(gb):]
             out[w] = out.get(w, 0) + 1
-    return FusionElement(out)
+    return FusionElement._of(out)
 
 
 def _as_element(x):
@@ -165,11 +100,12 @@ def odot(x, y):
     if isinstance(x, str) and isinstance(y, str):
         return _odot_words(x, y)
     xe, ye = _as_element(x), _as_element(y)
-    total = FusionElement()
-    for wx, cx in xe.pairs():
-        for wy, cy in ye.pairs():
-            total = total + (cx * cy) * _odot_words(wx, wy)
-    return total
+    out = {}
+    for wx, cx in xe.terms.items():
+        for wy, cy in ye.terms.items():
+            for w, c in _odot_words(wx, wy).terms.items():
+                add_term(out, w, cx * cy * c)
+    return FusionElement._of(out)
 
 
 def fuse(x, y):

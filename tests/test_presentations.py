@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,16 @@ def test_build_hq_rules():
     rhss = {rr.rhs for rr in by_lhs["as.a"]}
     assert NCPolynomial({(): Fraction(1), al.word("bs", "b"): -(q ** 2)}) in rhss
     assert NCPolynomial({(): Fraction(1), al.word("cs", "c"): Fraction(-1)}) in rhss
+
+
+@pytest.mark.parametrize("qv", [q, Fraction(3, 2)])
+def test_hq_is_hef_at_fq_renamed(qv):
+    renamed = {"u11": "a", "u12": "b", "u21": "c", "u22": "d",
+               "v11": "as", "v12": "bs", "v21": "cs", "v22": "ds"}
+    fq = matrix_fq(qv)
+    hef = build_hef(fq, fq).export()
+    expected = re.sub(r"\b[uv]\d\d\b", lambda m: renamed[m.group()], hef)
+    assert build_hq(qv).export() == expected
 
 
 @pytest.mark.parametrize("qv", [q, Fraction(1), Fraction(3, 2), Fraction(-2)])

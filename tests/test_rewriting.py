@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from cosovereign import (Alphabet, EnumerationBound, NCPolynomial, ParseError,
-                         RewriteSystem, Rule, RuleOrderError, apply_rule_at,
-                         confluent,
+from cosovereign import (Alphabet, EnumerationBound, FusionElement,
+                         NCPolynomial, ParseError, RepElement, RewriteSystem,
+                         Rule, RuleOrderError, apply_rule_at, confluent,
                          find_ambiguities, format_presentation, is_free_family,
                          parse_presentation, reduce, reduced_monomials,
                          resolve, q)
-from cosovereign.rewriting import _add_term, _find_redex, deglex_key, deglex_less
+from cosovereign.rewriting import _find_redex, deglex_key, deglex_less
+from cosovereign.scalars import add_term
 
 
 def mono(alphabet, text):
@@ -223,8 +224,16 @@ b.a -> (q^2)*a.b - 1/2*a + 3
 
 
 def test_ncpolynomial_rejects_floats():
-    with pytest.raises(TypeError, match="inexact"):
-        NCPolynomial({(0,): 0.5})
+    # every Combination subclass shares the check; one key type each
+    for cls, key in ((NCPolynomial, (0,)), (FusionElement, "ab"),
+                     (RepElement, (("Z", 1),))):
+        with pytest.raises(TypeError, match="inexact"):
+            cls({key: 0.5})
+        with pytest.raises(TypeError, match="inexact"):
+            0.5 * cls({key: 1})
+        # a Fraction stays exact instead of being truncated to 0
+        half = cls({key: Fraction(1, 2)})
+        assert not half.is_zero() and half.coefficient(key) == Fraction(1, 2)
 
 
 # -- the indexed matcher against a linear scan over every rule --------------
@@ -258,12 +267,12 @@ def _scan_reduce(p, rules, strategy):
         c = work.pop(m)
         hit = _scan_find_redex(m, rules, strategy)
         if hit is None:
-            _add_term(done, m, c)
+            add_term(done, m, c)
             continue
         pos, rule = hit
         a, b = m[:pos], m[pos + len(rule.lhs):]
         for t, cc in rule.rhs.terms.items():
-            _add_term(work, a + t + b, c * cc)
+            add_term(work, a + t + b, c * cc)
     return NCPolynomial(done)
 
 

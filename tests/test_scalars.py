@@ -4,7 +4,9 @@ import pytest
 import sympy
 from hypothesis import given, seed, settings, strategies as st
 
-from cosovereign import ParseError, Poly, RatFunc, format_scalar, parse_scalar, q
+from cosovereign import (FusionElement, NCPolynomial, ParseError, Poly,
+                         RatFunc, RepElement, format_scalar, parse_scalar, q)
+from cosovereign.scalars import as_ratfunc
 
 
 def test_parse_rationals():
@@ -248,3 +250,59 @@ def test_constant_comparison_matches_general_path(c, k, d):
         if general:
             assert hash(r) == hash(Fraction(x))
     assert (r == c) is (k == 0 or c == 0)
+
+
+# -- Combination: the arithmetic shared by the three rings ------------------
+
+
+def _dict_sum(pairs):
+    """Plain-dict reference: sum the (key, coefficient) pairs, drop zeros."""
+    out = {}
+    for k, c in pairs:
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+_KEYS = {
+    FusionElement: ["", "a", "b", "ab", "ba"],
+    RepElement: [(), (("Z", 1),), (("V", 1),), (("Z", 1), ("V", 2))],
+    NCPolynomial: [(), (0,), (1,), (0, 1), (1, 0)],
+}
+_COEFFS = {
+    FusionElement: st.integers(-3, 3),
+    RepElement: st.integers(-3, 3),
+    NCPolynomial: st.one_of(st.integers(-3, 3), _fracs, _ratfuncs),
+}
+
+
+@pytest.mark.parametrize("cls", [FusionElement, RepElement, NCPolynomial])
+@seed(2002)
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_combination_arithmetic_matches_dict_reference(cls, data):
+    pairs = st.lists(st.tuples(st.sampled_from(_KEYS[cls]), _COEFFS[cls]),
+                     max_size=6)
+    pa, pb, s = data.draw(pairs), data.draw(pairs), data.draw(_COEFFS[cls])
+    a, b = cls(pa), cls(pb)
+    assert a.terms == _dict_sum(pa) and b.terms == _dict_sum(pb)
+    for got, ref in ((a + b, pa + pb),
+                     (a - b, pa + [(k, -c) for k, c in pb]),
+                     (-a, [(k, -c) for k, c in pa]),
+                     (s * a, [(k, s * c) for k, c in pa])):
+        assert type(got) is cls
+        assert got.terms == _dict_sum(ref)
+        assert all(c != 0 for c in got.terms.values())
+        assert len(got) == len(got.terms)
+    assert (a == b) is (_dict_sum(pa) == _dict_sum(pb))
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    shuffled = cls(reversed(pa))
+    assert shuffled == a and hash(shuffled) == hash(a)
+    assert (a - a).is_zero() and a - a == cls()
+    if cls is NCPolynomial:
+        # constant RatFuncs equal, and hash like, the Fractions they lift
+        lifted = cls([(k, as_ratfunc(c)) for k, c in pa])
+        assert lifted == a and hash(lifted) == hash(a)
+
+
+def test_combination_equality_is_per_type():
+    assert NCPolynomial({(): 2}) != RepElement({(): 2})

@@ -111,6 +111,8 @@ def test_fusion_element_arithmetic_and_render():
     neg = -el
     assert neg.render() == "-abab - ab"
     assert FusionElement.from_pairs(el.to_pairs()) == el
+    assert (el + fuse("ab", "")).render() == "abab + 2*ab"
+    assert (2 * FusionElement.from_word("")).render() == "2"
 
 
 def test_words_up_to_order():
