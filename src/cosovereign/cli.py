@@ -165,6 +165,9 @@ def cmd_basis(args):
 def cmd_free_check(args):
     spec, label = _build_preset(args)
     letters = [s.strip() for s in args.letters.split(",") if s.strip()]
+    for name in letters:
+        if name not in spec.alphabet.names:
+            raise UsageError(f"unknown generator {name!r}")
     free = is_free_family(spec.rules, spec.alphabet, letters, args.max_len)
     payload = {"presentation": label, "letters": letters,
                "max_len": args.max_len, "free": free, "seed": args.seed}
@@ -221,7 +224,19 @@ def _add_seed(p):
                    help="recorded in reports for reproducibility")
 
 
-def _add_preset(p, with_unchecked=True):
+def _length(text):
+    """argparse type for --max-len: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def _add_preset(p):
     p.add_argument("preset",
                    choices=("hef", "hq", "hplus", "slq2", "freeprod", "file"))
     p.add_argument("--E", metavar="FILE", help="matrix file for E")
@@ -229,9 +244,8 @@ def _add_preset(p, with_unchecked=True):
     p.add_argument("--q", default="sym",
                    help="'sym' or an exact scalar such as 3/2")
     p.add_argument("--file", metavar="FILE", help="presentation file")
-    if with_unchecked:
-        p.add_argument("--unchecked", action="store_true",
-                       help="skip the trace preconditions (negative tests)")
+    p.add_argument("--unchecked", action="store_true",
+                   help="skip the trace preconditions (negative tests)")
 
 
 def build_parser():
@@ -264,7 +278,7 @@ def build_parser():
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("table", help="emit the fusion table up to a length")
-    p.add_argument("--max-len", type=int, default=2)
+    p.add_argument("--max-len", type=_length, default=2)
     _add_format(p)
     _add_seed(p)
     p.set_defaults(func=cmd_table)
@@ -277,7 +291,7 @@ def build_parser():
 
     p = sub.add_parser("basis", help="reduced monomials up to a length")
     _add_preset(p)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_length, required=True)
     _add_format(p)
     p.set_defaults(func=cmd_basis)
 
@@ -286,7 +300,7 @@ def build_parser():
     _add_preset(p)
     p.add_argument("--letters", required=True,
                    help="comma-separated generator names")
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_length, required=True)
     _add_format(p)
     _add_seed(p)
     p.set_defaults(func=cmd_free_check)

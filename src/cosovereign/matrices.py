@@ -132,7 +132,7 @@ def _eliminated(m):
             det = -det
         p = a[col][col]
         det = det * p
-        ip = 1 / p if isinstance(p, Fraction) else p ** -1
+        ip = 1 / p
         a[col] = [x * ip for x in a[col]]
         inv[col] = [x * ip for x in inv[col]]
         for r in range(n):

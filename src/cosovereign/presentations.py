@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Tuple
 
 from .matrices import ExactMatrix, inverse, trace
 from .rewriting import (Alphabet, NCPolynomial, RewriteSystem, Rule,
                         format_presentation, reduce)
-from .scalars import RatFunc
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,6 @@ def _check_q(qv):
     if qv == 0:
         raise ValueError("q must be nonzero")
     return qv
-
-
-def _inv_scalar(x):
-    if isinstance(x, RatFunc):
-        return x ** -1
-    return 1 / Fraction(x)
 
 
 def _is_diagonal(m):
@@ -116,7 +110,7 @@ def build_hef(e, f, unchecked=False):
     v = {(i, j): alphabet.index(vname(i, j)) for (i, j) in pairs}
 
     finv = inverse(f)
-    f11_inv = _inv_scalar(f[0, 0])
+    f11_inv = Fraction(1) / f[0, 0]
     e_mm = e[m - 1, m - 1]
 
     rules = []
@@ -133,9 +127,7 @@ def build_hef(e, f, unchecked=False):
             terms = {(): f11_inv * e[i - 1, j - 1]}
             for k in range(2, n + 1):
                 for l in range(1, n + 1):
-                    coeff = f[k - 1, l - 1]
-                    if coeff != 0:
-                        terms[(v[i, k], u[j, l])] = -(f11_inv * coeff)
+                    terms[(v[i, k], u[j, l])] = -(f11_inv * f[k - 1, l - 1])
             rules.append(Rule((v[i, 1], u[j, 1]), NCPolynomial(terms)))
     # tv u = I_n, leading monomial v_1i u_1j
     for i in range(1, n + 1):
@@ -149,7 +141,7 @@ def build_hef(e, f, unchecked=False):
         for j in range(1, n + 1):
             terms = {(): e_mm * finv[i - 1, j - 1]}
             for k in range(1, m):
-                terms[(u[k, i], v[k, j])] = -(e_mm * _inv_scalar(e[k - 1, k - 1]))
+                terms[(u[k, i], v[k, j])] = -(e_mm / e[k - 1, k - 1])
             rules.append(Rule((u[m, i], v[m, j]), NCPolynomial(terms)))
 
     return PresentationSpec(
@@ -164,7 +156,7 @@ HQ_OF_HEF = {"u11": "a", "u12": "b", "u21": "c", "u22": "d",
 def matrix_fq(qv):
     """diag(q^-1, q) for a nonzero rational or symbolic q."""
     qv = _check_q(qv)
-    return ExactMatrix.diagonal([_inv_scalar(qv), qv])
+    return ExactMatrix.diagonal([Fraction(1) / qv, qv])
 
 
 def build_hq(qv):
@@ -183,7 +175,7 @@ def build_hplusq(qv):
     alphabet = Alphabet(hq.alphabet.names + ("ti", "t"))
     g = alphabet.index
     one = Fraction(1)
-    qinv = _inv_scalar(qv)
+    qinv = Fraction(1) / qv
     t, ti = g("t"), g("ti")
     t_rules = [
         Rule((t, ti), NCPolynomial({(ti, t): one})),
@@ -247,7 +239,7 @@ def build_freeprod(qv):
 def standard_pi_images(qv, freeprod):
     """The defining images of the eight H(q) generators in the free product."""
     g = freeprod.alphabet.index
-    qinv = _inv_scalar(qv)
+    qinv = Fraction(1) / qv
     one = Fraction(1)
     z, zi = g("z"), g("zi")
     return {
@@ -347,77 +339,35 @@ def build_aaut(f):
     finv = inverse(f)
 
     fmt = "X{0}{1}^{2}{3}" if n <= 9 else "X{0}_{1}^{2}_{3}"
-    idx = {}
-    names = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(1, n + 1):
-                for d in range(1, n + 1):
-                    idx[a, b, c, d] = len(names)
-                    names.append(fmt.format(a, b, c, d))
-    alphabet = Alphabet(names)
+    rng = range(1, n + 1)
+    idx = {key: pos for pos, key in enumerate(product(rng, repeat=4))}
+    alphabet = Alphabet(fmt.format(*key) for key in idx)
 
     def x(lower, upper):
-        return idx[lower[0], lower[1], upper[0], upper[1]]
+        return idx[lower + upper]
 
-    rng = range(1, n + 1)
     one = Fraction(1)
-
     multiplicative = []
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    for r in rng:
-                        for s in rng:
-                            terms = {}
-                            for t in rng:
-                                terms[(x((r, t), (i, j)), x((t, s), (k, l)))] = one
-                            if j == k:
-                                mono = (x((r, s), (i, l)),)
-                                terms[mono] = terms.get(mono, Fraction(0)) - one
-                            multiplicative.append(NCPolynomial(terms))
-
     measure = []
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    for r in rng:
-                        for s in rng:
-                            terms = {}
-                            for t in rng:
-                                for p in rng:
-                                    coeff = f[t - 1, p - 1]
-                                    if coeff != 0:
-                                        key = (x((k, l), (i, t)), x((r, s), (p, j)))
-                                        terms[key] = terms.get(key, Fraction(0)) + coeff
-                            coeff = f[l - 1, r - 1]
-                            if coeff != 0:
-                                mono = (x((k, s), (i, j)),)
-                                terms[mono] = terms.get(mono, Fraction(0)) - coeff
-                            measure.append(NCPolynomial(terms))
+    for i, j, k, l, r, s in product(rng, repeat=6):
+        multiplicative.append(NCPolynomial(
+            [((x((r, t), (i, j)), x((t, s), (k, l))), one) for t in rng]
+            + [((x((r, s), (i, l)),), -Fraction(int(j == k)))]))
+        measure.append(NCPolynomial(
+            [((x((k, l), (i, t)), x((r, s), (p, j))), f[t - 1, p - 1])
+             for t in rng for p in rng]
+            + [((x((k, s), (i, j)),), -f[l - 1, r - 1])]))
 
     counit = []
-    for i in rng:
-        for j in rng:
-            terms = {(x((i, j), (t, t)),): one for t in rng}
-            terms[()] = -Fraction(int(i == j))
-            counit.append(NCPolynomial(terms))
-
     trace_family = []
-    for i in rng:
-        for j in rng:
-            terms = {}
-            for t in rng:
-                for p in rng:
-                    coeff = finv[t - 1, p - 1]
-                    if coeff != 0:
-                        terms[(x((t, p), (i, j)),)] = coeff
-            const = finv[i - 1, j - 1]
-            if const != 0:
-                terms[()] = -const
-            trace_family.append(NCPolynomial(terms))
+    for i, j in product(rng, repeat=2):
+        counit.append(NCPolynomial(
+            [((x((i, j), (t, t)),), one) for t in rng]
+            + [((), -Fraction(int(i == j)))]))
+        trace_family.append(NCPolynomial(
+            [((x((t, p), (i, j)),), finv[t - 1, p - 1])
+             for t in rng for p in rng]
+            + [((), -finv[i - 1, j - 1])]))
 
     return AautRelations(alphabet, {
         "multiplicative": multiplicative,

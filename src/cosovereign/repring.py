@@ -114,27 +114,28 @@ def clebsch_gordan(i, j):
 
 
 def _mul_words(w1, w2):
-    """Product of two basis words as a dict word -> multiplicity."""
-    if not w1:
-        return {w2: 1}
-    if not w2:
-        return {w1: 1}
-    (k1, i1), (k2, i2) = w1[-1], w2[0]
-    if k1 != k2:
-        return {w1 + w2: 1}
-    if k1 == Z:
-        s = i1 + i2
-        if s == 0:
-            return _mul_words(w1[:-1], w2[1:])
-        return {w1[:-1] + ((Z, s),) + w2[1:]: 1}
+    """Product of two basis words as a dict word -> multiplicity.
+
+    Each collapse of the junction leaves at most one product to go on with,
+    the inner w1[:-1] . w2[1:], so a loop walks inward.  The words found on
+    the way differ in length or in the merged V index, so each occurs once.
+    """
     out = {}
-    for k in clebsch_gordan(i1, i2):
-        if k == 0:
-            for w, c in _mul_words(w1[:-1], w2[1:]).items():
-                out[w] = out.get(w, 0) + c
+    while w1 and w2 and w1[-1][0] == w2[0][0]:
+        (kind, i1), (_, i2) = w1[-1], w2[0]
+        head, tail = w1[:-1], w2[1:]
+        if kind == Z:
+            if i1 + i2:
+                out[head + ((Z, i1 + i2),) + tail] = 1
+                return out
         else:
-            w = w1[:-1] + ((V, k),) + w2[1:]
-            out[w] = out.get(w, 0) + 1
+            for k in clebsch_gordan(i1, i2):
+                if k:
+                    out[head + ((V, k),) + tail] = 1
+            if i1 != i2:
+                return out
+        w1, w2 = head, tail
+    out[w1 + w2] = 1
     return out
 
 

@@ -386,34 +386,23 @@ def reduced_monomials(rules, alphabet, max_len, limit=10 ** 6):
     return out
 
 
-def is_free_family(rules, alphabet, subset, max_len, limit=10 ** 6):
-    """Whether all words over the subset of generators stay reduced.
+def is_free_family(rules, alphabet, subset, max_len):
+    """Whether all words of length <= max_len over the named generators
+    stay reduced.
 
     The rules must be confluent (checked); the diamond lemma then makes the
     reduced monomials a basis, so an all-reduced family is linearly free.
+    A word over the subset contains an lhs only if that lhs is itself a word
+    over the subset, so no words need listing: the family is free exactly
+    when no lhs of length <= max_len uses only subset letters.
     """
-    subset = tuple(alphabet.index(s) if isinstance(s, str) else int(s)
-                   for s in subset)
+    subset = {alphabet.index(s) for s in subset}
     system = RewriteSystem.of(rules)
-    report = confluent(system)
-    if not report.ok:
+    if not confluent(system).ok:
         raise ValueError("rewrite system is not confluent; "
                          "the reduced-monomial basis is unavailable")
-    level = [()]
-    count = 1
-    for _ in range(max_len):
-        nxt = []
-        for w in level:
-            for g in subset:
-                w2 = w + (g,)
-                if _ends_with_lhs(w2, system):
-                    return False
-                nxt.append(w2)
-        count += len(nxt)
-        if count > limit:
-            raise EnumerationBound(f"more than {limit} subset words")
-        level = nxt
-    return True
+    return not any(len(lhs) <= max_len and set(lhs) <= subset
+                   for lhs in system.index)
 
 
 # ---------------------------------------------------------------------------

@@ -355,15 +355,6 @@ q = RatFunc(_P_Q)
 Scalar = Union[Fraction, RatFunc]
 
 
-def scalar_mode(s):
-    """'rational' for Fraction/int scalars, 'q' for rational functions."""
-    if isinstance(s, RatFunc):
-        return "q"
-    if isinstance(s, (int, Fraction)):
-        return "rational"
-    raise TypeError(f"not a scalar: {s!r}")
-
-
 def as_ratfunc(s):
     out = RatFunc._coerce(s)
     if out is None:

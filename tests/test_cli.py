@@ -168,6 +168,31 @@ def test_basis_and_free_check(capsys, tmp_path):
     assert code == 1 and "False" in out
 
 
+def test_free_check_needs_no_enumeration(capsys):
+    # 4^12 words over {a, b, c, d}: the answer comes from the rule left sides
+    code, out, _ = run(capsys, "free-check", "hq", "--letters", "a,b,c,d",
+                       "--max-len", "12")
+    assert code == 0 and out.strip().endswith(": True")
+
+
+def test_free_check_unknown_letter(capsys):
+    code, out, err = run(capsys, "free-check", "hq", "--letters", "a,zz",
+                         "--max-len", "2")
+    assert code == 2 and out == ""
+    assert "error: unknown generator 'zz'" in err
+    assert "Traceback" not in err
+
+
+def test_negative_max_len_is_a_usage_error(capsys):
+    for argv in (["table"], ["basis", "hq"],
+                 ["free-check", "hq", "--letters", "a"]):
+        code, out, err = run(capsys, *argv, "--max-len", "-1")
+        assert code == 2 and out == ""
+        assert "expected an integer >= 0, got '-1'" in err
+        code, _, _ = run(capsys, *argv, "--max-len", "0")
+        assert code == 0
+
+
 def test_iso(tmp_path, capsys):
     rng = random.Random(41)
     # det_param 2 keeps E away from its own transpose inverse, so the two

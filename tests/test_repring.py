@@ -96,6 +96,18 @@ def test_multiply_merges_z_exponents():
     assert out == rep(((V, 1), (Z, 5), (V, 1)))
 
 
+def test_multiply_long_cancellation():
+    # every junction collapses: V_1 V_1 leaves V_2 and the inner product,
+    # Z^1 Z^-1 cancels, so the product walks 1400 factors inward
+    u = ((Z, 1), (V, 1)) * 700
+    v = ((V, 1), (Z, -1)) * 700
+    out = multiply(u, v)
+    assert len(out) == 701
+    assert all(c == 1 for _, c in out.pairs())
+    assert sum(c * alt_dim(w) for w, c in out.pairs()) == \
+        alt_dim(u) * alt_dim(v) == 4 ** 700
+
+
 def _random_alt_word(rng):
     n = rng.randrange(4)
     kinds = [rng.choice((Z, V))]

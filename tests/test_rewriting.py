@@ -330,3 +330,67 @@ def test_compiled_system_is_accepted_everywhere(ab):
     assert reduce(p, system) == reduce(p, rules)
     assert confluent(system).to_payload(ab) == confluent(rules).to_payload(ab)
     assert reduced_monomials(system, ab, 3) == reduced_monomials(rules, ab, 3)
+
+
+def _free_by_enumeration(rules, alphabet, subset, max_len):
+    """Reference for `is_free_family` on a confluent system: extend every
+    word over the subset one letter at a time and test whether it now ends
+    with an lhs (its shorter prefixes were tested one level earlier)."""
+    subset = [alphabet.index(s) for s in subset]
+    lhss = {r.lhs for r in rules}
+    level = [()]
+    for _ in range(max_len):
+        level = [w + (g,) for w in level for g in subset]
+        if any(w[-len(l):] == l for w in level for l in lhss):
+            return False
+    return True
+
+
+@st.composite
+def _monomial_systems(draw):
+    """Rules lhs -> 0 over up to four letters (always confluent: both sides
+    of every ambiguity reduce to 0), a subset of names and a length."""
+    alphabet = Alphabet(f"g{i}" for i in range(draw(st.integers(1, 4))))
+    letters = st.integers(0, len(alphabet) - 1)
+    lhss = draw(st.lists(st.lists(letters, min_size=1, max_size=4).map(tuple),
+                         max_size=6))
+    subset = draw(st.lists(st.sampled_from(alphabet.names),
+                           max_size=len(alphabet)))
+    return (alphabet, [Rule(l, NCPolynomial()) for l in lhss], subset,
+            draw(st.integers(0, 5)))
+
+
+@seed(1978)
+@settings(max_examples=200, deadline=None, database=None)
+@given(_monomial_systems())
+def test_free_family_matches_enumeration_on_monomial_systems(case):
+    alphabet, rules, subset, max_len = case
+    assert is_free_family(rules, alphabet, subset, max_len) == \
+        _free_by_enumeration(rules, alphabet, subset, max_len)
+
+
+def test_free_family_matches_enumeration_on_presets():
+    from cosovereign import (ExactMatrix, build_freeprod, build_hef,
+                             build_hplusq, build_hq, build_slq2)
+    specs = [build_hq(q), build_hplusq(Fraction(3, 2)), build_freeprod(q),
+             build_slq2(q),
+             build_hef(ExactMatrix.diagonal([1, 2]),
+                       ExactMatrix([[1, 0], [1, 2]]))]
+    rng = random.Random(1978)
+    answers = set()
+    for spec in specs:
+        system = RewriteSystem(spec.rules)
+        for _ in range(40):
+            subset = rng.sample(spec.alphabet.names, rng.randint(1, 3))
+            max_len = rng.randint(0, 4)
+            free = is_free_family(system, spec.alphabet, subset, max_len)
+            assert free == _free_by_enumeration(spec.rules, spec.alphabet,
+                                                subset, max_len)
+            answers.add(free)
+    assert answers == {True, False}
+
+
+def test_free_family_takes_names_only(ab):
+    rules = [Rule(mono(ab, "a.b"), NCPolynomial({(): Fraction(1)}))]
+    with pytest.raises(KeyError, match="unknown generator"):
+        is_free_family(rules, ab, [1], 2)
