@@ -85,13 +85,13 @@ def cmd_fuse(args):
     if args.n is not None:
         summand_dims = [dim(w, args.n) for w, _ in result.pairs()]
         total = dim_element(result, args.n)
-        product = dim(x, args.n) * dim(y, args.n)
-        if total != product:
+        dx, dy = dim(x, args.n), dim(y, args.n)
+        if total != dx * dy:
             print("dimension identity failed", file=sys.stderr)
             return 1
         lines.append(f"dims(n={args.n}): "
                      + " + ".join(str(d) for d in summand_dims)
-                     + f" = {total} = {dim(x, args.n)}*{dim(y, args.n)}")
+                     + f" = {total} = {dx}*{dy}")
         payload["dims"] = {"n": args.n, "summands": summand_dims,
                            "total": total}
     _emit(args, payload, "\n".join(lines))
@@ -110,10 +110,10 @@ def cmd_dim(args):
 
 def cmd_psi(args):
     w = psi(parse_word(args.x)).single_word()
-    d = alt_dim(w)
-    payload = {"word": args.x, "image": render_alt_word(w),
+    d, image = alt_dim(w), render_alt_word(w)
+    payload = {"word": args.x, "image": image,
                "factors": [{"kind": k, "index": i} for k, i in w], "dim": d}
-    _emit(args, payload, f"{render_alt_word(w)} (dim {d})")
+    _emit(args, payload, f"{image} (dim {d})")
     return 0
 
 

@@ -11,14 +11,16 @@ V_i . V_j expands by the Clebsch-Gordan range |i-j|, |i-j|+2, ..., i+j
 (the V_0 branch cascades inward).  Each collapse shortens the word, so the
 process terminates; its output is the decomposition into simples.
 
-psi embeds the fusion ring of the two-letter free monoid: the letter 'a'
-maps to [Z^1 V_1], the letter 'b' to [V_1 Z^-1], and longer words follow by
-the same peel-off recursion used for dimensions.  Every word lands on a
-single alternated word with coefficient one.
+psi embeds the fusion ring of the two-letter free monoid: 'a' maps to
+[Z^1 V_1], 'b' to [V_1 Z^-1], and a word to the single alternated word got
+by joining its letter images up: neighbours of one kind add exponents, and a
+Z exponent that sums to 0 drops out, so the two V factors around it merge.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 
 from .scalars import Combination, ParseError, add_term
@@ -28,7 +30,7 @@ Z, V = "Z", "V"
 
 def check_alt_word(factors):
     """Validate and freeze an alternated word given as (kind, index) pairs."""
-    w = tuple((str(k), int(i)) for k, i in factors)
+    w = tuple((str(k), operator.index(i)) for k, i in factors)
     prev = None
     for kind, idx in w:
         if kind not in (Z, V):
@@ -43,13 +45,15 @@ def check_alt_word(factors):
     return w
 
 
-def alt_dim(w):
-    """Product of (j+1) over the V factors; Z factors are one-dimensional."""
-    d = 1
-    for kind, idx in w:
-        if kind == V:
-            d *= idx + 1
-    return d
+def alt_dim(w, n=2):
+    """Product of U_j(n) over the V_j factors, the dimension when V_1 has
+    dimension n: U_0 = 1, U_1 = n, U_(j+1) = n U_j - U_(j-1) (Chebyshev)."""
+    n = operator.index(n)
+    js = [idx for kind, idx in w if kind == V]
+    u = [1, n]
+    for _ in range(max(js, default=1) - 1):
+        u.append(n * u[-1] - u[-2])
+    return math.prod(u[j] for j in js)
 
 
 def render_alt_word(w):
@@ -160,22 +164,22 @@ PSI_A = ((Z, 1), (V, 1))
 PSI_B = ((V, 1), (Z, -1))
 
 
+def psi_word(x):
+    """Alternated word of psi(x): the letter images joined up."""
+    out = []
+    for letter in x:
+        for kind, idx in PSI_A if letter == "a" else PSI_B:
+            if out and out[-1][0] == kind:
+                idx += out.pop()[1]
+                if not idx:  # Z^i Z^-i: the V factors on either side merge
+                    continue
+            out.append((kind, idx))
+    return tuple(out)
+
+
 def psi(x):
     """Image of a fusion-monoid word in the free-product representation ring."""
-    # right to left over suffixes: p1 = psi(x[i+1:]), p2 = psi(x[i+2:])
-    p1, p2 = RepElement.trivial, None
-    for i in range(len(x) - 1, -1, -1):
-        head = RepElement({PSI_A if x[i] == "a" else PSI_B: 1})
-        out = multiply(head, p1)
-        if i + 1 < len(x) and x[i + 1] != x[i]:
-            out = out - p2
-        p1, p2 = out, p1
-    return p1
-
-
-def psi_word(x):
-    """psi(x) as its single alternated word (it always is one)."""
-    return psi(x).single_word()
+    return RepElement._of({psi_word(x): 1})
 
 
 def so3_fuse(k, l):

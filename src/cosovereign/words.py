@@ -7,16 +7,17 @@ swaps the letters.  The fusion product of two words is
     x (*) y  =  sum of a.b  over all splittings x = a.g, y = bar(g).b,
 
 extended bilinearly to integer combinations.  Each simple label U_x has one
-dimension for every n >= 2 (the size of the fundamental comodule); dim is the
-unique ring morphism to Z sending both letters to n, computed by peeling off
-the first letter:  a.y = a (*) y - y'  whenever y starts with b (drop the
-first letter to get y'), and symmetrically.
+dimension for every n >= 2 (the size of the fundamental comodule): dim is the
+unique ring morphism to Z sending both letters to n, read off the embedding
+psi into the representation ring of Z * SU_q(2) as alt_dim(psi_word(x), n).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
+from .repring import alt_dim, psi_word
 from .scalars import Combination, ParseError, add_term
 
 LETTERS = "ab"
@@ -115,17 +116,10 @@ def fuse(x, y):
 
 def dim(x, n):
     """Dimension of U_x when the fundamental comodule has dimension n >= 2."""
-    n = int(n)
+    n = operator.index(n)
     if n <= 1:
         raise ValueError(f"dimension parameter must be at least 2, got {n}")
-    # right to left over suffixes: d1 = dim(x[i+1:]), d2 = dim(x[i+2:])
-    d1, d2 = 1, 0
-    for i in range(len(x) - 1, -1, -1):
-        d = n * d1
-        if i + 1 < len(x) and x[i + 1] != x[i]:
-            d -= d2
-        d1, d2 = d, d1
-    return d1
+    return alt_dim(psi_word(x), n)
 
 
 def dim_element(fe, n):

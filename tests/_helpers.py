@@ -1,4 +1,5 @@
-"""Shared generators for randomized exact-matrix tests."""
+"""Shared generators for randomized exact-matrix tests, and a reference
+recurrence for label dimensions."""
 
 from fractions import Fraction
 
@@ -68,3 +69,15 @@ def expected_hef_witnesses(alphabet, m, n):
             overlaps.add((u(m, i), v(m, 1), u(j, 1)))
     inclusions = {(v(1, 1), u(1, 1)), (u(m, n), v(m, n))}
     return overlaps, inclusions
+
+
+def prefix_dim(x, n):
+    """dim by peeling off the last letter instead of the first:
+    x.a = x (*) a - x[:-1] when x ends in b, and symmetrically."""
+    d1, d2 = 1, 0
+    for i in range(len(x)):
+        d = n * d1
+        if i and x[i - 1] != x[i]:
+            d -= d2
+        d1, d2 = d, d1
+    return d1

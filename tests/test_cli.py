@@ -4,7 +4,7 @@ import pytest
 
 from cosovereign import format_matrix, inverse, matrix_fq, ExactMatrix
 from cosovereign.cli import main, parse_table_payload
-from _helpers import generic_integer_matrix, random_unimodular
+from _helpers import generic_integer_matrix, prefix_dim, random_unimodular
 import random
 
 
@@ -40,24 +40,12 @@ def test_dual_and_dim(capsys):
     assert run(capsys, "dim", "ab", "2")[1].strip() == "3"
 
 
-def _prefix_dim(x, n):
-    """dim by peeling off the last letter instead of the first:
-    x.a = x (*) a - x[:-1] when x ends in b, and symmetrically."""
-    d1, d2 = 1, 0
-    for i in range(len(x)):
-        d = n * d1
-        if i and x[i - 1] != x[i]:
-            d -= d2
-        d1, d2 = d, d1
-    return d1
-
-
 def test_dim_of_long_label(capsys):
     rng = random.Random(3000)
     for x in ("ab" * 1500, "".join(rng.choice("ab") for _ in range(3000))):
         code, out, err = run(capsys, "dim", x, "3")
         assert code == 0 and err == ""
-        assert int(out) == _prefix_dim(x, 3)
+        assert int(out) == prefix_dim(x, 3)
 
 
 def test_psi_of_long_label(capsys):
@@ -65,7 +53,7 @@ def test_psi_of_long_label(capsys):
     x = "".join(rng.choice("ab") for _ in range(2000))
     code, out, err = run(capsys, "psi", x)
     assert code == 0 and err == ""
-    assert out.strip().endswith(f"(dim {_prefix_dim(x, 2)})")
+    assert out.strip().endswith(f"(dim {prefix_dim(x, 2)})")
 
 
 def test_psi(capsys):

@@ -1,11 +1,16 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
+from sympy import Rational, chebyshevu
 
 from cosovereign import (RepElement, alt_dim, check_alt_word, clebsch_gordan,
                          dim, multiply, odot, parse_alt_word, psi, psi_word,
                          render_alt_word, so3_fuse, words_up_to)
+from cosovereign.repring import PSI_A, PSI_B
+from _helpers import prefix_dim
 
 Z, V = "Z", "V"
 
@@ -73,6 +78,26 @@ def test_alt_dim():
     assert alt_dim(((Z, 1), (V, 2), (Z, -1))) == 3
     assert alt_dim(()) == 1
     assert alt_dim(((V, 1), (Z, -1), (V, 1), (Z, -1))) == 4
+    assert alt_dim(((V, 3), (Z, 1), (V, 2)), 3) == 21 * 8
+    assert alt_dim(((Z, -2),), 5) == 1
+
+
+def test_alt_dim_is_chebyshev_u():
+    # V_j has dimension U_j(n) when V_1 has dimension n; sympy's U_j has
+    # U_1(x) = 2x, hence the argument n/2
+    for n in range(2, 8):
+        for j in range(41):
+            assert alt_dim(((V, j),), n) == chebyshevu(j, Rational(n, 2))
+
+
+def test_float_parameters_are_rejected():
+    for bad in (2.9, Fraction(5, 2)):
+        with pytest.raises(TypeError):
+            alt_dim(((V, 2),), bad)
+    with pytest.raises(TypeError):
+        check_alt_word([("V", 1.5), ("Z", -1.2)])
+    with pytest.raises(TypeError):
+        check_alt_word([("V", Fraction(2))])
 
 
 def test_render_parse_alt_words():
@@ -174,6 +199,35 @@ def test_psi_injective_small():
         w = psi_word(x)
         assert w not in seen, (x, seen[w])
         seen[w] = x
+
+
+def _psi_by_peeling(x):
+    """psi by peeling off the first letter through multiply:
+    psi(l.y) = psi(l) psi(y) - psi(y[1:]) when y starts with the other
+    letter, psi(l) psi(y) otherwise."""
+    p1, p2 = RepElement.trivial, None
+    for i in range(len(x) - 1, -1, -1):
+        out = multiply(PSI_A if x[i] == "a" else PSI_B, p1)
+        if i + 1 < len(x) and x[i + 1] != x[i]:
+            out = out - p2
+        p1, p2 = out, p1
+    return p1
+
+
+# runs of one letter and alternating runs, so that long V_j factors occur
+_labels = st.lists(st.tuples(st.sampled_from(("a", "b", "ab", "ba")),
+                             st.integers(1, 60)), max_size=24).map(
+    lambda runs: "".join(piece * k for piece, k in runs)[:400])
+
+
+@seed(2002)
+@settings(max_examples=80, deadline=None, database=None)
+@given(_labels)
+def test_closed_forms_match_peel_off(x):
+    assert _psi_by_peeling(x) == psi(x)
+    assert psi(x).single_word() == check_alt_word(psi_word(x))
+    for n in range(2, 7):
+        assert dim(x, n) == prefix_dim(x, n)
 
 
 def test_dim_bridge_small():

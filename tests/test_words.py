@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -93,6 +94,14 @@ def test_dim_examples():
     assert dim("", 5) == 1
     with pytest.raises(ValueError):
         dim("a", 1)
+
+
+def test_dim_rejects_non_integer_n():
+    for bad in (2.9, Fraction(5, 2), 3.7):
+        with pytest.raises(TypeError):
+            dim("ab", bad)
+        with pytest.raises(TypeError):
+            dim_element(fuse("a", "b"), bad)
 
 
 def test_dim_is_multiplicative_small():
