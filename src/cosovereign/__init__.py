@@ -15,12 +15,11 @@ from .repring import (RepElement, alt_dim, check_alt_word, clebsch_gordan,
 from .rewriting import (Alphabet, Ambiguity, ConfluenceReport, EnumerationBound,
                         NCPolynomial, RewriteSystem, Rule, RuleOrderError,
                         apply_rule_at, confluent, find_ambiguities,
-                        format_presentation, is_free_family,
-                        parse_presentation, reduce, reduced_monomials,
-                        resolve)
-from .presentations import (AautRelations, PresentationSpec, build_aaut,
-                            build_freeprod, build_hef, build_hplusq, build_hq,
-                            build_slq2, matrix_fq, standard_pi_images,
-                            trace_conditions, verify_pi)
+                        is_free_family, parse_presentation, reduce,
+                        reduced_monomials, resolve)
+from .presentations import (AautRelations, build_aaut, build_freeprod,
+                            build_hef, build_hplusq, build_hq, build_slq2,
+                            matrix_fq, standard_pi_images, trace_conditions,
+                            verify_pi)
 
 __version__ = "0.1.0"

@@ -60,9 +60,7 @@ def _build_preset(args):
         if not args.file:
             raise UsageError("preset 'file' needs --file")
         with open(args.file, encoding="utf-8") as fh:
-            alphabet, rules = parse_presentation(fh.read())
-        spec = pres.PresentationSpec("FILE", {"path": args.file},
-                                     alphabet, tuple(rules))
+            spec = parse_presentation(fh.read())
         label = f"file ({args.file})"
     else:
         raise UsageError(f"unknown presentation {name!r}")
@@ -140,21 +138,21 @@ def cmd_check(args):
     from .rewriting import confluent
 
     spec, label = _build_preset(args)
-    report = confluent(spec.rules)
+    report = confluent(spec)
     c = report.counts()
     payload = {"presentation": label, "seed": args.seed,
                "confluent": report.ok,
                "counts": c,
-               "ambiguities": report.to_payload(spec.alphabet)}
+               "ambiguities": report.to_payload()}
     text = (f"presentation: {label}\nseed: {args.seed}\n"
-            + report.to_text(spec.alphabet, spec.rules))
+            + report.to_text())
     _emit(args, payload, text)
     return 0 if report.ok else 1
 
 
 def cmd_basis(args):
     spec, label = _build_preset(args)
-    monos = reduced_monomials(spec.rules, spec.alphabet, args.max_len)
+    monos = reduced_monomials(spec, args.max_len)
     rendered = [spec.alphabet.render(m) for m in monos]
     payload = {"presentation": label, "max_len": args.max_len,
                "count": len(rendered), "monomials": rendered}
@@ -168,7 +166,7 @@ def cmd_free_check(args):
     for name in letters:
         if name not in spec.alphabet.names:
             raise UsageError(f"unknown generator {name!r}")
-    free = is_free_family(spec.rules, spec.alphabet, letters, args.max_len)
+    free = is_free_family(spec, letters, args.max_len)
     payload = {"presentation": label, "letters": letters,
                "max_len": args.max_len, "free": free, "seed": args.seed}
     _emit(args, payload,
@@ -189,12 +187,12 @@ def cmd_iso(args):
 
 
 def cmd_verify_pi(args):
-    report, fp = pres.verify_pi(_parse_q(args.q))
+    report = pres.verify_pi(_parse_q(args.q))
     payload = {"q": args.q, "seed": args.seed, "ok": report.ok,
                "checks": [{"relation": c.relation, "ok": c.ok,
-                           "residual": c.residual.render(fp.alphabet)}
+                           "residual": c.residual.render(report.alphabet)}
                           for c in report.checks]}
-    text = f"q: {args.q}\nseed: {args.seed}\n" + report.to_text(fp.alphabet)
+    text = f"q: {args.q}\nseed: {args.seed}\n" + report.to_text()
     _emit(args, payload, text)
     return 0 if report.ok else 1
 

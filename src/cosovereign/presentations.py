@@ -25,27 +25,13 @@ residual must vanish identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .matrices import ExactMatrix, inverse, trace
-from .rewriting import (Alphabet, NCPolynomial, RewriteSystem, Rule,
-                        format_presentation, reduce)
-
-
-@dataclass(frozen=True)
-class PresentationSpec:
-    """A named rewrite system plus the parameters it was built from."""
-
-    name: str
-    parameters: dict
-    alphabet: Alphabet
-    rules: Tuple[Rule, ...]
-
-    def export(self):
-        return format_presentation(self.alphabet, self.rules)
+from .rewriting import Alphabet, NCPolynomial, RewriteSystem, Rule, reduce
 
 
 def trace_conditions(e, f):
@@ -144,8 +130,7 @@ def build_hef(e, f, unchecked=False):
                 terms[(u[k, i], v[k, j])] = -(e_mm / e[k - 1, k - 1])
             rules.append(Rule((u[m, i], v[m, j]), NCPolynomial(terms)))
 
-    return PresentationSpec(
-        "HEF", {"E": e, "F": f, "unchecked": unchecked}, alphabet, tuple(rules))
+    return RewriteSystem(alphabet, rules)
 
 
 #: H(q) name of each H(E, F) generator at m = n = 2.
@@ -165,7 +150,7 @@ def build_hq(qv):
     fq = matrix_fq(qv)
     hef = build_hef(fq, fq)
     alphabet = Alphabet(HQ_OF_HEF[name] for name in hef.alphabet.names)
-    return PresentationSpec("HQ", {"q": qv}, alphabet, hef.rules)
+    return RewriteSystem(alphabet, hef.rules)
 
 
 def build_hplusq(qv):
@@ -189,8 +174,7 @@ def build_hplusq(qv):
         Rule((ti, g("d")), NCPolynomial({(g("as"), t): one})),
         Rule((t, g("as")), NCPolynomial({(g("d"), ti): one})),
     ]
-    return PresentationSpec("HPLUSQ", {"q": qv}, alphabet,
-                            hq.rules + tuple(t_rules))
+    return RewriteSystem(alphabet, hq.rules + tuple(t_rules))
 
 
 def build_slq2(qv):
@@ -215,7 +199,7 @@ def build_slq2(qv):
         Rule((b, c), NCPolynomial({(a, d): qv, (): -qv})),
         Rule((d, a), NCPolynomial({(b, c): qv, (): one})),
     )
-    return PresentationSpec("SLQ2", {"q": qv}, alphabet, rules)
+    return RewriteSystem(alphabet, rules)
 
 
 def build_freeprod(qv):
@@ -233,7 +217,7 @@ def build_freeprod(qv):
         Rule((z, zi), NCPolynomial({(): one})),
         Rule((zi, z), NCPolynomial({(): one})),
     )
-    return PresentationSpec("FREEPROD", {"q": qv}, alphabet, rules)
+    return RewriteSystem(alphabet, rules)
 
 
 def standard_pi_images(qv, freeprod):
@@ -263,16 +247,17 @@ class PiCheck:
 
 @dataclass
 class PiReport:
+    alphabet: Alphabet
     checks: List[PiCheck]
 
     @property
     def ok(self):
         return all(c.ok for c in self.checks)
 
-    def to_text(self, freeprod_alphabet):
+    def to_text(self):
         lines = [f"{'ok ' if c.ok else 'FAIL'} {c.relation}"
                  + ("" if c.ok else
-                    f"  residual: {c.residual.render(freeprod_alphabet)}")
+                    f"  residual: {c.residual.render(self.alphabet)}")
                  for c in self.checks]
         lines.append(f"morphism well-defined: {self.ok}")
         return "\n".join(lines)
@@ -282,7 +267,8 @@ def verify_pi(qv, image_overrides=None):
     """Check the algebra-morphism property of the free-product embedding.
 
     Substitutes the generator images into every H(q) relation and reduces in
-    the free product; returns a report with one residual per relation.
+    the free product; returns a report with one residual per relation,
+    rendered over the free product's alphabet.
     `image_overrides` replaces named generator images (used to demonstrate
     that a wrong image leaves a nonzero residual).
     """
@@ -303,14 +289,13 @@ def verify_pi(qv, image_overrides=None):
             out = out + term
         return out
 
-    system = RewriteSystem(fp.rules)
     checks = []
     for rule in hq.rules:
         image = substituted(NCPolynomial.monomial(rule.lhs) - rule.rhs)
-        residual = reduce(image, system)
+        residual = reduce(image, fp)
         checks.append(PiCheck(rule.render(hq.alphabet), residual,
                               residual.is_zero()))
-    return PiReport(checks), fp
+    return PiReport(fp.alphabet, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +309,6 @@ class AautRelations:
 
     alphabet: Alphabet
     families: Dict[str, List[NCPolynomial]]
-    parameters: dict = field(default_factory=dict)
 
     def counts(self):
         return {name: len(polys) for name, polys in self.families.items()}
@@ -374,4 +358,4 @@ def build_aaut(f):
         "measure": measure,
         "counit": counit,
         "trace": trace_family,
-    }, {"F": f})
+    })

@@ -162,18 +162,22 @@ def multiply(u, v):
 
 PSI_A = ((Z, 1), (V, 1))
 PSI_B = ((V, 1), (Z, -1))
+_PSI = {"a": PSI_A, "b": PSI_B}
 
 
 def psi_word(x):
     """Alternated word of psi(x): the letter images joined up."""
     out = []
-    for letter in x:
-        for kind, idx in PSI_A if letter == "a" else PSI_B:
-            if out and out[-1][0] == kind:
-                idx += out.pop()[1]
-                if not idx:  # Z^i Z^-i: the V factors on either side merge
-                    continue
-            out.append((kind, idx))
+    try:
+        for letter in x:
+            for kind, idx in _PSI[letter]:
+                if out and out[-1][0] == kind:
+                    idx += out.pop()[1]
+                    if not idx:  # Z^i Z^-i: the V factors on either side merge
+                        continue
+                out.append((kind, idx))
+    except KeyError as exc:
+        raise ValueError(f"invalid word letter {exc.args[0]!r}") from None
     return tuple(out)
 
 

@@ -21,7 +21,7 @@ rules present.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -30,6 +30,15 @@ from .scalars import Combination, ParseError, add_term, parse_scalar
 Monomial = Tuple[int, ...]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_^]*")
+
+
+def _name_error(name, seen):
+    """Why `name` cannot follow the generators `seen`, or None."""
+    if not _NAME_RE.fullmatch(name) or name == "q":
+        return f"invalid generator name {name!r}"
+    if name in seen:
+        return f"duplicate generator name {name!r}"
+    return None
 
 
 class Alphabet:
@@ -41,13 +50,14 @@ class Alphabet:
         names = tuple(names)
         if not names:
             raise ValueError("alphabet needs at least one generator")
+        index = {}
         for name in names:
-            if not _NAME_RE.fullmatch(name) or name == "q":
-                raise ValueError(f"invalid generator name {name!r}")
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate generator names")
+            problem = _name_error(name, index)
+            if problem:
+                raise ValueError(problem)
+            index[name] = len(index)
         self.names = names
-        self._index = {n: i for i, n in enumerate(names)}
+        self._index = index
 
     def index(self, name):
         try:
@@ -149,32 +159,29 @@ class Rule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RewriteSystem:
-    """A rule tuple compiled for matching.
+    """A presentation: generators plus rules, compiled for matching.
 
     `index` maps each distinct lhs to the lowest rule index with that lhs;
     `lengths` lists the distinct lhs lengths, longest first.
     """
 
-    rules: Tuple[Rule, ...]
-    index: Dict[Monomial, int] = field(init=False, repr=False, compare=False)
-    lengths: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("alphabet", "rules", "index", "lengths")
 
-    def __post_init__(self):
-        rules = tuple(self.rules)
+    def __init__(self, alphabet, rules):
+        self.alphabet = alphabet
+        self.rules = tuple(rules)
         index = {}
-        for i, rule in enumerate(rules):
+        for i, rule in enumerate(self.rules):
             index.setdefault(rule.lhs, i)
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "lengths",
-                           tuple(sorted({len(l) for l in index}, reverse=True)))
+        self.index = index
+        self.lengths = tuple(sorted({len(l) for l in index}, reverse=True))
 
-    @classmethod
-    def of(cls, rules):
-        """`rules` itself when already compiled, else its compilation."""
-        return rules if isinstance(rules, cls) else cls(rules)
+    def export(self):
+        """The presentation file text, which `parse_presentation` reads."""
+        lines = ["generators:", *self.alphabet.names, "rules:"]
+        lines.extend(rule.render(self.alphabet) for rule in self.rules)
+        return "\n".join(lines) + "\n"
 
 
 def _find_redex(m, system, strategy):
@@ -205,17 +212,16 @@ def apply_rule_at(m, rule, pos):
     return NCPolynomial._of({a + t + b: c for t, c in rule.rhs.terms.items()})
 
 
-def reduce(p, rules, strategy="leftmost"):
+def reduce(p, system, strategy="leftmost"):
     """Normal form of a polynomial under the rules.
 
     Terminates for order-compatible rules because every step replaces a
     monomial by strictly smaller ones.  For confluent systems the result is
     strategy-independent; 'leftmost' and 'rightmost' pick which occurrence
-    fires first.  `rules` is a rule sequence or a compiled `RewriteSystem`.
+    fires first.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    system = RewriteSystem.of(rules)
     work = dict(p.terms)
     done: Dict[Monomial, object] = {}
     while work:
@@ -248,11 +254,6 @@ class Ambiguity:
     pos_i: int
     pos_j: int
 
-    def render(self, alphabet, rules):
-        return (f"{self.kind} ({alphabet.render(rules[self.i].lhs)}, "
-                f"{alphabet.render(rules[self.j].lhs)}) "
-                f"at {alphabet.render(self.witness)}")
-
 
 def find_ambiguities(rules):
     """All overlap and inclusion ambiguities, in a deterministic order.
@@ -282,9 +283,8 @@ def find_ambiguities(rules):
     return out
 
 
-def resolve(amb, rules):
+def resolve(amb, system):
     """Reduce the witness along both parent rules; (resolved, residual)."""
-    system = RewriteSystem.of(rules)
     rules = system.rules
     r1 = reduce(apply_rule_at(amb.witness, rules[amb.i], amb.pos_i), system)
     r2 = reduce(apply_rule_at(amb.witness, rules[amb.j], amb.pos_j), system)
@@ -301,6 +301,7 @@ class AmbiguityResult:
 
 @dataclass
 class ConfluenceReport:
+    alphabet: Alphabet
     results: List[AmbiguityResult]
 
     @property
@@ -314,7 +315,8 @@ class ConfluenceReport:
         inc = sum(1 for r in self.results if r.ambiguity.kind == "inclusion")
         return {"inclusion": inc, "overlap": len(self.results) - inc}
 
-    def to_text(self, alphabet, rules):
+    def to_text(self):
+        alphabet = self.alphabet
         lines = []
         for r in self.results:
             a = r.ambiguity
@@ -327,7 +329,8 @@ class ConfluenceReport:
                      f"confluent: {self.ok}")
         return "\n".join(lines)
 
-    def to_payload(self, alphabet):
+    def to_payload(self):
+        alphabet = self.alphabet
         return [{
             "kind": r.ambiguity.kind,
             "rules": [r.ambiguity.i, r.ambiguity.j],
@@ -337,14 +340,13 @@ class ConfluenceReport:
         } for r in self.results]
 
 
-def confluent(rules):
+def confluent(system):
     """Resolve every ambiguity; report ok plus per-ambiguity residuals."""
-    system = RewriteSystem.of(rules)
     results = []
     for amb in find_ambiguities(system.rules):
         ok, residual = resolve(amb, system)
         results.append(AmbiguityResult(amb, ok, residual))
-    return ConfluenceReport(results)
+    return ConfluenceReport(system.alphabet, results)
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +364,14 @@ def _ends_with_lhs(word, system):
     return any(word[-size:] in index for size in system.lengths)
 
 
-def reduced_monomials(rules, alphabet, max_len, limit=10 ** 6):
+def reduced_monomials(system, max_len, limit=10 ** 6):
     """Monomials of length <= max_len with no rule lhs as a factor.
 
     Canonical (length, lex) order; enumeration aborts past `limit` entries.
     """
-    system = RewriteSystem.of(rules)
     out = [()]
     level = [()]
-    letters = range(len(alphabet))
+    letters = range(len(system.alphabet))
     for _ in range(max_len):
         nxt = []
         for w in level:
@@ -386,7 +387,7 @@ def reduced_monomials(rules, alphabet, max_len, limit=10 ** 6):
     return out
 
 
-def is_free_family(rules, alphabet, subset, max_len):
+def is_free_family(system, subset, max_len):
     """Whether all words of length <= max_len over the named generators
     stay reduced.
 
@@ -396,8 +397,7 @@ def is_free_family(rules, alphabet, subset, max_len):
     over the subset, so no words need listing: the family is free exactly
     when no lhs of length <= max_len uses only subset letters.
     """
-    subset = {alphabet.index(s) for s in subset}
-    system = RewriteSystem.of(rules)
+    subset = {system.alphabet.index(s) for s in subset}
     if not confluent(system).ok:
         raise ValueError("rewrite system is not confluent; "
                          "the reduced-monomial basis is unavailable")
@@ -408,15 +408,6 @@ def is_free_family(rules, alphabet, subset, max_len):
 # ---------------------------------------------------------------------------
 # presentation files
 # ---------------------------------------------------------------------------
-
-
-def format_presentation(alphabet, rules):
-    lines = ["generators:"]
-    lines.extend(alphabet.names)
-    lines.append("rules:")
-    for rule in rules:
-        lines.append(rule.render(alphabet))
-    return "\n".join(lines) + "\n"
 
 
 def _split_top_level(text, seps):
@@ -500,7 +491,7 @@ def _parse_term_text(chunk, alphabet, line_no, col):
 
 
 def parse_presentation(text):
-    """Parse the presentation file format; returns (alphabet, rules)."""
+    """Parse the presentation file format into a `RewriteSystem`."""
     names = []
     rule_lines = []
     section = None
@@ -515,6 +506,10 @@ def parse_presentation(text):
             section = "rules"
             continue
         if section == "generators":
+            problem = _name_error(line, names)
+            if problem:
+                raise ParseError(problem, line=no,
+                                 col=len(raw) - len(raw.lstrip()) + 1)
             names.append(line)
         elif section == "rules":
             rule_lines.append((no, raw))
@@ -543,4 +538,4 @@ def parse_presentation(text):
         except RuleOrderError as exc:
             raise ParseError(exc.message(alphabet.render),
                              line=no, col=col) from None
-    return alphabet, rules
+    return RewriteSystem(alphabet, rules)

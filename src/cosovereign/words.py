@@ -114,16 +114,22 @@ def fuse(x, y):
     return _odot_words(x, y)
 
 
-def dim(x, n):
-    """Dimension of U_x when the fundamental comodule has dimension n >= 2."""
+def _dimension_parameter(n):
+    """`n` as an int >= 2: TypeError for non-integers, ValueError below 2."""
     n = operator.index(n)
     if n <= 1:
         raise ValueError(f"dimension parameter must be at least 2, got {n}")
-    return alt_dim(psi_word(x), n)
+    return n
+
+
+def dim(x, n):
+    """Dimension of U_x when the fundamental comodule has dimension n >= 2."""
+    return alt_dim(psi_word(x), _dimension_parameter(n))
 
 
 def dim_element(fe, n):
     """Additive extension of dim to integer combinations of words."""
+    n = _dimension_parameter(n)
     return sum(c * dim(w, n) for w, c in _as_element(fe).pairs())
 
 

@@ -138,14 +138,14 @@ def test_criterion_05_ambiguity_census():
         assert len(ambs) == 18
         assert overlaps == exp_over and len(overlaps) == 16
         assert inclusions == exp_inc and len(inclusions) == 2
-        report = confluent(spec.rules)
+        report = confluent(spec)
         assert report.ok
         assert all(r.residual.is_zero() for r in report.results)
 
         spec32 = build_hef(E32, F32)
         assert trace(E32) == trace(F32)
         assert trace(inverse(E32)) == trace(inverse(F32))
-        report32 = confluent(spec32.rules)
+        report32 = confluent(spec32)
         assert report32.ok
         assert report32.counts() == {"inclusion": 2, "overlap": 24}
 
@@ -174,7 +174,7 @@ def test_criterion_07_trace_necessity():
         assert trace(e) != trace(f)
         assert trace(inverse(e)) == trace(inverse(f))
         spec = build_hef(e, f, unchecked=True)
-        inc = {r.ambiguity.witness: r for r in confluent(spec.rules).results
+        inc = {r.ambiguity.witness: r for r in confluent(spec).results
                if r.ambiguity.kind == "inclusion"}
         bad = inc[spec.alphabet.word("v11", "u11")]
         assert not bad.resolved
@@ -188,7 +188,7 @@ def test_criterion_07_trace_necessity():
         assert trace(e2) == trace(f2)
         assert trace(inverse(e2)) != trace(inverse(f2))
         spec2 = build_hef(e2, f2, unchecked=True)
-        inc2 = {r.ambiguity.witness: r for r in confluent(spec2.rules).results
+        inc2 = {r.ambiguity.witness: r for r in confluent(spec2).results
                 if r.ambiguity.kind == "inclusion"}
         bad2 = inc2[spec2.alphabet.word("u22", "v22")]
         assert not bad2.resolved
@@ -201,23 +201,23 @@ def test_criterion_08_extension_by_grouplike():
     with _criterion(8, "grouplike extension confluent over Q(q)", 60):
         hq = build_hq(q)
         hp = build_hplusq(q)
-        report = confluent(hp.rules)
+        report = confluent(hp)
         assert report.ok
         assert all(r.residual.is_zero() for r in report.results)
-        for mono in reduced_monomials(hq.rules, hq.alphabet, 4):
+        for mono in reduced_monomials(hq, 4):
             p = NCPolynomial.monomial(mono)
-            assert reduce(p, hp.rules) == p
+            assert reduce(p, hp) == p
 
 
 def test_criterion_09_free_product_embedding():
     with _criterion(9, "morphism residuals vanish over Q(q)", 30):
-        report, fp = verify_pi(q)
+        report = verify_pi(q)
         assert len(report.checks) == 16
         assert report.ok
         assert all(c.residual.is_zero() for c in report.checks)
         zc = NCPolynomial.monomial(
-            (fp.alphabet.index("z"), fp.alphabet.index("c")))
-        corrupted, _ = verify_pi(q, image_overrides={"b": zc})
+            (report.alphabet.index("z"), report.alphabet.index("c")))
+        corrupted = verify_pi(q, image_overrides={"b": zc})
         assert not corrupted.ok
 
 

@@ -52,21 +52,21 @@ def test_hef_ambiguity_census_and_confluence(e, f, m, n):
     assert inclusions == exp_inc and len(inclusions) == 2
     # each family is multiplicity-free: one ambiguity per witness
     assert len(ambs) == 4 * m * n + 2
-    report = confluent(spec.rules)
+    report = confluent(spec)
     assert report.ok
 
 
 def test_u_family_free_but_mixed_family_not():
     spec = build_hef(E22, F22)
     u_names = ["u11", "u12", "u21", "u22"]
-    assert is_free_family(spec.rules, spec.alphabet, u_names, 4)
-    assert not is_free_family(spec.rules, spec.alphabet, ["u11", "v11"], 2)
+    assert is_free_family(spec, u_names, 4)
+    assert not is_free_family(spec, ["u11", "v11"], 2)
 
 
 def test_reduce_relation_example():
     spec = build_hef(E22, F22)
     al = spec.alphabet
-    out = reduce(NCPolynomial.monomial(al.word("u12", "v12")), spec.rules)
+    out = reduce(NCPolynomial.monomial(al.word("u12", "v12")), spec)
     assert out == NCPolynomial({(): Fraction(1), al.word("u11", "v11"): Fraction(-1)})
 
 
@@ -76,7 +76,7 @@ def _constant_of(poly):
 
 
 def _inclusion_results(spec):
-    report = confluent(spec.rules)
+    report = confluent(spec)
     return report, {r.ambiguity.witness: r for r in report.results
                     if r.ambiguity.kind == "inclusion"}
 
@@ -150,7 +150,7 @@ def test_hq_is_hef_at_fq_renamed(qv):
 
 @pytest.mark.parametrize("qv", [q, Fraction(1), Fraction(3, 2), Fraction(-2)])
 def test_hq_confluent(qv):
-    assert confluent(build_hq(qv).rules).ok
+    assert confluent(build_hq(qv)).ok
 
 
 def test_q_zero_rejected():
@@ -168,50 +168,50 @@ def test_build_hplusq():
     al = spec.alphabet
     witnesses = {a.witness for a in ambs}
     assert al.word("t", "ti", "a") in witnesses
-    report = confluent(spec.rules)
+    report = confluent(spec)
     assert report.ok
 
 
 def test_hq_reduced_monomials_stay_reduced():
     hq = build_hq(q)
     hp = build_hplusq(q)
-    hq_reduced = reduced_monomials(hq.rules, hq.alphabet, 4)
+    hq_reduced = reduced_monomials(hq, 4)
     # the generator indices agree between the two alphabets
     for mono in hq_reduced:
         p = NCPolynomial.monomial(mono)
-        assert reduce(p, hp.rules) == p
+        assert reduce(p, hp) == p
 
 
 def test_t_rule_reduction_example():
     spec = build_hplusq(q)
     al = spec.alphabet
-    out = reduce(NCPolynomial.monomial(al.word("t", "ti", "a")), spec.rules)
+    out = reduce(NCPolynomial.monomial(al.word("t", "ti", "a")), spec)
     assert out == NCPolynomial.monomial(al.word("a"))
 
 
 def test_build_slq2():
     spec = build_slq2(q)
-    report = confluent(spec.rules)
+    report = confluent(spec)
     assert report.ok
     al = spec.alphabet
     # the displayed identities hold as equalities of normal forms
-    da = reduce(NCPolynomial.monomial(al.word("d", "a")), spec.rules)
-    qbc1 = reduce(NCPolynomial({al.word("b", "c"): q, (): Fraction(1)}), spec.rules)
+    da = reduce(NCPolynomial.monomial(al.word("d", "a")), spec)
+    qbc1 = reduce(NCPolynomial({al.word("b", "c"): q, (): Fraction(1)}), spec)
     assert da == qbc1
-    cb = reduce(NCPolynomial.monomial(al.word("c", "b")), spec.rules)
-    bc = reduce(NCPolynomial.monomial(al.word("b", "c")), spec.rules)
+    cb = reduce(NCPolynomial.monomial(al.word("c", "b")), spec)
+    bc = reduce(NCPolynomial.monomial(al.word("b", "c")), spec)
     assert cb == bc
     # PBW-style filtration: 9 reduced words of length 2, 14 of length <= 2
-    monos = reduced_monomials(spec.rules, al, 2)
+    monos = reduced_monomials(spec, 2)
     assert sum(1 for m in monos if len(m) == 2) == 9
     assert len(monos) == 14
 
 
 def test_build_freeprod():
     spec = build_freeprod(q)
-    assert confluent(spec.rules).ok
+    assert confluent(spec).ok
     al = spec.alphabet
-    out = reduce(NCPolynomial.monomial(al.word("z", "zi", "a")), spec.rules)
+    out = reduce(NCPolynomial.monomial(al.word("z", "zi", "a")), spec)
     assert out == NCPolynomial.monomial(al.word("a"))
     slq2 = build_slq2(q)
     extra = {a.witness for a in find_ambiguities(spec.rules)} - \
@@ -220,7 +220,7 @@ def test_build_freeprod():
 
 
 def test_verify_pi_symbolic():
-    report, fp = verify_pi(q)
+    report = verify_pi(q)
     assert report.ok
     assert len(report.checks) == 16
     assert all(c.residual.is_zero() for c in report.checks)
@@ -229,7 +229,7 @@ def test_verify_pi_symbolic():
 def test_verify_pi_corrupted_image():
     fp = build_freeprod(q)
     zc = NCPolynomial.monomial((fp.alphabet.index("z"), fp.alphabet.index("c")))
-    report, _ = verify_pi(q, image_overrides={"b": zc})
+    report = verify_pi(q, image_overrides={"b": zc})
     assert not report.ok
 
 
@@ -242,14 +242,14 @@ def test_basis_count_matches_fusion_dimensions():
 
     hq = build_hq(q)
     for d in range(5):
-        count = len(reduced_monomials(hq.rules, hq.alphabet, d))
+        count = len(reduced_monomials(hq, d))
         assert count == sum(dim(x, 2) ** 2 for x in words_up_to(d))
 
     e = ExactMatrix.diagonal([Fraction(1), Fraction(3), Fraction(4, 3)])
     f = ExactMatrix([[Fraction(24, 5), 0], [1, Fraction(8, 15)]])
     hef = build_hef(e, f)
     for d in range(4):
-        count = len(reduced_monomials(hef.rules, hef.alphabet, d))
+        count = len(reduced_monomials(hef, d))
         assert count == sum(dim(x, 3) * dim(x, 2) for x in words_up_to(d))
 
 

@@ -161,6 +161,13 @@ def test_psi_examples():
     assert psi("") == RepElement.trivial
 
 
+def test_psi_rejects_other_letters():
+    for bad in ("ac", "c", "abx", "aB", "a b"):
+        for fn in (psi_word, psi, lambda x: dim(x, 2)):
+            with pytest.raises(ValueError, match="invalid word letter"):
+                fn(bad)
+
+
 def test_psi_closed_forms():
     for n in range(6):
         ab, ba = "ab" * n, "ba" * n

@@ -8,9 +8,8 @@ from hypothesis import given, seed, settings, strategies as st
 from cosovereign import (Alphabet, EnumerationBound, FusionElement,
                          NCPolynomial, ParseError, RepElement, RewriteSystem,
                          Rule, RuleOrderError, apply_rule_at, confluent,
-                         find_ambiguities, format_presentation, is_free_family,
-                         parse_presentation, reduce, reduced_monomials,
-                         resolve, q)
+                         find_ambiguities, is_free_family, parse_presentation,
+                         reduce, reduced_monomials, resolve, q)
 from cosovereign.rewriting import _find_redex, deglex_key, deglex_less
 from cosovereign.scalars import add_term
 
@@ -55,7 +54,7 @@ def test_rule_compatibility_enforced(ab):
 def test_single_rule_no_ambiguities(ab):
     rules = [Rule(mono(ab, "a.b"), NCPolynomial({(): Fraction(1)}))]
     assert find_ambiguities(rules) == []
-    assert confluent(rules).ok
+    assert confluent(RewriteSystem(ab, rules)).ok
 
 
 def test_two_rule_overlaps(ab):
@@ -66,7 +65,8 @@ def test_two_rule_overlaps(ab):
     witnesses = {ab.render(a.witness) for a in ambs}
     assert witnesses == {"a.b.a", "b.a.b"}
     assert all(a.kind == "overlap" for a in ambs)
-    assert confluent(rules).ok  # the free group on one generator
+    # the free group on one generator
+    assert confluent(RewriteSystem(ab, rules)).ok
 
 
 def test_inclusion_with_duplicate_lhs(ab):
@@ -74,7 +74,7 @@ def test_inclusion_with_duplicate_lhs(ab):
     r2 = Rule(mono(ab, "a.b"), poly(ab, {"a.a": 1}))
     ambs = find_ambiguities([r1, r2])
     assert [a.kind for a in ambs] == ["inclusion"]
-    ok, residual = resolve(ambs[0], [r1, r2])
+    ok, residual = resolve(ambs[0], RewriteSystem(ab, [r1, r2]))
     assert not ok
     assert residual == poly(ab, {"": 1, "a.a": -1})
 
@@ -84,14 +84,15 @@ def test_inclusion_proper_factor(ab):
     r2 = Rule(mono(ab, "b"), poly(ab, {"a": 1}))
     ambs = find_ambiguities([r1, r2])
     assert [a.kind for a in ambs] == ["inclusion"]
-    report = confluent([r1, r2])
+    report = confluent(RewriteSystem(ab, [r1, r2]))
     assert not report.ok
     fail = report.failures()[0]
     assert fail.residual == poly(ab, {"": 1, "a.a": -1})
 
 
 def test_reduce_basics(ab):
-    rules = [Rule(mono(ab, "a.b"), NCPolynomial({(): Fraction(1)}))]
+    rules = RewriteSystem(
+        ab, [Rule(mono(ab, "a.b"), NCPolynomial({(): Fraction(1)}))])
     p = poly(ab, {"a.a.b": 2, "b": 1})
     out = reduce(p, rules)
     assert out == poly(ab, {"a": 2, "b": 1})
@@ -103,7 +104,7 @@ def test_reduce_basics(ab):
 
 def test_reduce_empty_rule_list(ab):
     p = poly(ab, {"a.b": 1})
-    assert reduce(p, []) == p
+    assert reduce(p, RewriteSystem(ab, [])) == p
 
 
 def test_apply_rule_at(ab):
@@ -129,8 +130,8 @@ def test_strategy_independence_on_confluent_system():
             w = tuple(rng.choice(letters) for _ in range(rng.randrange(6)))
             terms[w] = terms.get(w, 0) + Fraction(rng.randrange(-3, 4))
         p = NCPolynomial(terms)
-        left = reduce(p, spec.rules, strategy="leftmost")
-        right = reduce(p, spec.rules, strategy="rightmost")
+        left = reduce(p, spec, strategy="leftmost")
+        right = reduce(p, spec, strategy="rightmost")
         assert left == right
 
 
@@ -144,44 +145,50 @@ def test_reduce_linearity():
                 Fraction(rng.randrange(-3, 4)) for _ in range(3)})
         p, r = rand_poly(), rand_poly()
         c = Fraction(rng.randrange(-3, 4))
-        lhs = reduce(p + r.scaled(c), spec.rules)
-        rhs = reduce(p, spec.rules) + reduce(r, spec.rules).scaled(c)
+        lhs = reduce(p + r.scaled(c), spec)
+        rhs = reduce(p, spec) + reduce(r, spec).scaled(c)
         assert lhs == rhs
 
 
 def test_reduced_monomials(ab):
-    rules = [Rule(mono(ab, "a.b"), NCPolynomial({(): Fraction(1)}))]
-    monos = reduced_monomials(rules, ab, 2)
+    rules = RewriteSystem(
+        ab, [Rule(mono(ab, "a.b"), NCPolynomial({(): Fraction(1)}))])
+    monos = reduced_monomials(rules, 2)
     assert [ab.render(m) for m in monos] == ["1", "a", "b", "a.a", "b.a", "b.b"]
-    assert reduced_monomials([], ab, 0) == [()]
+    assert reduced_monomials(RewriteSystem(ab, []), 0) == [()]
 
 
 def test_reduced_monomials_guard(ab):
     with pytest.raises(EnumerationBound):
-        reduced_monomials([], ab, 25, limit=1000)
+        reduced_monomials(RewriteSystem(ab, []), 25, limit=1000)
 
 
 def test_is_free_family(ab):
-    rules = [Rule(mono(ab, "a.b"), NCPolynomial({(): Fraction(1)})),
-             Rule(mono(ab, "b.a"), NCPolynomial({(): Fraction(1)}))]
-    assert is_free_family(rules, ab, ["a"], 5)
-    assert not is_free_family(rules, ab, ["a", "b"], 2)
-    assert is_free_family(rules, ab, [], 4)
-    bad = [Rule(mono(ab, "a.b"), NCPolynomial({(): Fraction(1)})),
-           Rule(mono(ab, "b"), poly(ab, {"a": 1}))]
+    rules = RewriteSystem(
+        ab, [Rule(mono(ab, "a.b"), NCPolynomial({(): Fraction(1)})),
+             Rule(mono(ab, "b.a"), NCPolynomial({(): Fraction(1)}))])
+    assert is_free_family(rules, ["a"], 5)
+    assert not is_free_family(rules, ["a", "b"], 2)
+    assert is_free_family(rules, [], 4)
+    bad = RewriteSystem(
+        ab, [Rule(mono(ab, "a.b"), NCPolynomial({(): Fraction(1)})),
+             Rule(mono(ab, "b"), poly(ab, {"a": 1}))])
     with pytest.raises(ValueError, match="not confluent"):
-        is_free_family(bad, ab, ["a"], 2)
+        is_free_family(bad, ["a"], 2)
 
 
 def test_presentation_round_trip():
-    from cosovereign import build_hq, build_hef, ExactMatrix
-    for spec in (build_hq(q), build_hq(Fraction(3, 2)),
-                 build_hef(ExactMatrix.diagonal([1, 2]),
-                           ExactMatrix([[1, 0], [1, 2]]))):
-        text = format_presentation(spec.alphabet, spec.rules)
-        alphabet, rules = parse_presentation(text)
-        assert alphabet == spec.alphabet
-        assert tuple(rules) == spec.rules
+    from cosovereign import (ExactMatrix, build_freeprod, build_hef,
+                             build_hplusq, build_hq, build_slq2)
+    specs = [build_hef(ExactMatrix.diagonal([1, 2]),
+                       ExactMatrix([[1, 0], [1, 2]]))]
+    for qv in (q, Fraction(3, 2)):
+        specs += [builder(qv) for builder in
+                  (build_hq, build_hplusq, build_slq2, build_freeprod)]
+    for spec in specs:
+        parsed = parse_presentation(spec.export())
+        assert parsed.alphabet == spec.alphabet
+        assert parsed.rules == spec.rules
 
 
 def test_parse_presentation_errors():
@@ -208,6 +215,19 @@ def test_parse_presentation_error_columns(rules, line, col, message):
     assert (exc.value.line, exc.value.col) == (line, col)
 
 
+@pytest.mark.parametrize("generators, line, col, message", [
+    ("q", 2, 1, "invalid generator name 'q'"),
+    ("a\n1a", 3, 1, "invalid generator name '1a'"),
+    ("  a b", 2, 3, "invalid generator name 'a b'"),
+    ("a\n b\n\n   a", 5, 4, "duplicate generator name 'a'"),
+])
+def test_parse_presentation_generator_error_columns(generators, line, col,
+                                                    message):
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        parse_presentation(f"generators:\n{generators}\nrules:\n")
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 def test_parse_presentation_terms():
     text = """
 generators:
@@ -216,7 +236,8 @@ b
 rules:
 b.a -> (q^2)*a.b - 1/2*a + 3
 """
-    alphabet, rules = parse_presentation(text)
+    system = parse_presentation(text)
+    alphabet, rules = system.alphabet, system.rules
     rhs = rules[0].rhs
     assert rhs.coefficient(alphabet.word("a", "b")) == q ** 2
     assert rhs.coefficient(alphabet.word("a")) == Fraction(-1, 2)
@@ -310,26 +331,20 @@ def _rule_systems(draw):
 @given(_rule_systems(), st.lists(_words, min_size=1, max_size=6),
        st.sampled_from(["leftmost", "rightmost"]))
 def test_indexed_redex_matches_linear_scan(rules, words, strategy):
-    system = RewriteSystem(rules)
+    system = RewriteSystem(Alphabet(("a", "b", "c")), rules)
     for m in words:
         assert _find_redex(m, system, strategy) == \
             _scan_find_redex(m, rules, strategy)
     p = NCPolynomial({m: Fraction(i + 1) for i, m in enumerate(words)})
     assert reduce(p, system, strategy) == _scan_reduce(p, rules, strategy)
-    assert reduce(p, rules, strategy) == _scan_reduce(p, rules, strategy)
 
 
 def test_compiled_system_is_accepted_everywhere(ab):
     rules = [Rule(mono(ab, "a.b"), NCPolynomial({(): Fraction(1)})),
              Rule(mono(ab, "b.a"), NCPolynomial({(): Fraction(1)})),
              Rule(mono(ab, "a.b"), poly(ab, {"a": 1}))]
-    system = RewriteSystem(rules)
+    system = RewriteSystem(ab, rules)
     assert system.index == {mono(ab, "a.b"): 0, mono(ab, "b.a"): 1}
-    assert RewriteSystem.of(system) is system
-    p = poly(ab, {"a.b.a": 1})
-    assert reduce(p, system) == reduce(p, rules)
-    assert confluent(system).to_payload(ab) == confluent(rules).to_payload(ab)
-    assert reduced_monomials(system, ab, 3) == reduced_monomials(rules, ab, 3)
 
 
 def _free_by_enumeration(rules, alphabet, subset, max_len):
@@ -365,7 +380,7 @@ def _monomial_systems(draw):
 @given(_monomial_systems())
 def test_free_family_matches_enumeration_on_monomial_systems(case):
     alphabet, rules, subset, max_len = case
-    assert is_free_family(rules, alphabet, subset, max_len) == \
+    assert is_free_family(RewriteSystem(alphabet, rules), subset, max_len) == \
         _free_by_enumeration(rules, alphabet, subset, max_len)
 
 
@@ -379,11 +394,10 @@ def test_free_family_matches_enumeration_on_presets():
     rng = random.Random(1978)
     answers = set()
     for spec in specs:
-        system = RewriteSystem(spec.rules)
         for _ in range(40):
             subset = rng.sample(spec.alphabet.names, rng.randint(1, 3))
             max_len = rng.randint(0, 4)
-            free = is_free_family(system, spec.alphabet, subset, max_len)
+            free = is_free_family(spec, subset, max_len)
             assert free == _free_by_enumeration(spec.rules, spec.alphabet,
                                                 subset, max_len)
             answers.add(free)
@@ -393,4 +407,4 @@ def test_free_family_matches_enumeration_on_presets():
 def test_free_family_takes_names_only(ab):
     rules = [Rule(mono(ab, "a.b"), NCPolynomial({(): Fraction(1)}))]
     with pytest.raises(KeyError, match="unknown generator"):
-        is_free_family(rules, ab, [1], 2)
+        is_free_family(RewriteSystem(ab, rules), [1], 2)

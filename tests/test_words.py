@@ -104,6 +104,19 @@ def test_dim_rejects_non_integer_n():
             dim_element(fuse("a", "b"), bad)
 
 
+def test_dim_element_checks_n_without_summands():
+    # the zero element has no summand whose dim could check n
+    for bad in (2.5, Fraction(5, 2)):
+        with pytest.raises(TypeError):
+            dim_element(FusionElement(), bad)
+    for bad in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            dim_element(FusionElement(), bad)
+        with pytest.raises(ValueError, match="at least 2"):
+            dim("ab", bad)
+    assert dim_element(FusionElement(), 2) == 0
+
+
 def test_dim_is_multiplicative_small():
     for n in (2, 3):
         for x in words_up_to(4):
