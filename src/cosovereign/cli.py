@@ -15,7 +15,8 @@ import sys
 
 from . import presentations as pres
 from .matrices import load_matrix, hopf_isomorphism_witness
-from .rewriting import parse_presentation, reduced_monomials, is_free_family
+from .rewriting import (confluent, is_free_family, parse_presentation,
+                        reduced_monomials)
 from .scalars import ParseError, q as q_sym, parse_scalar
 from .words import (FusionElement, dim, dim_element, dual, fuse, fusion_table,
                     parse_word, word_str)
@@ -35,51 +36,52 @@ def _parse_q(text):
     return value
 
 
+def _hef(args):
+    if not args.E or not args.F:
+        raise UsageError("hef needs --E and --F matrix files")
+    system = pres.build_hef(load_matrix(args.E), load_matrix(args.F),
+                            unchecked=args.unchecked)
+    return system, f"E = {args.E}, F = {args.F}"
+
+
+def _file(args):
+    if not args.file:
+        raise UsageError("preset 'file' needs --file")
+    with open(args.file, encoding="utf-8") as fh:
+        return parse_presentation(fh.read()), args.file
+
+
+def _of_q(builder):
+    """Preset from the `presentations` function named `builder`, looked up
+    at each call, applied to --q."""
+    return lambda args: (getattr(pres, builder)(_parse_q(args.q)),
+                         f"q = {args.q}")
+
+
+#: preset name -> function of the parsed arguments giving (system, detail)
+PRESETS = {"hef": _hef, "hq": _of_q("build_hq"),
+           "hplus": _of_q("build_hplusq"), "slq2": _of_q("build_slq2"),
+           "freeprod": _of_q("build_freeprod"), "file": _file}
+
+
 def _build_preset(args):
-    name = args.preset
-    if name == "hef":
-        if not args.E or not args.F:
-            raise UsageError("hef needs --E and --F matrix files")
-        e = load_matrix(args.E)
-        f = load_matrix(args.F)
-        spec = pres.build_hef(e, f, unchecked=args.unchecked)
-        label = f"hef (E = {args.E}, F = {args.F})"
-    elif name == "hq":
-        spec = pres.build_hq(_parse_q(args.q))
-        label = f"hq (q = {args.q})"
-    elif name == "hplus":
-        spec = pres.build_hplusq(_parse_q(args.q))
-        label = f"hplus (q = {args.q})"
-    elif name == "slq2":
-        spec = pres.build_slq2(_parse_q(args.q))
-        label = f"slq2 (q = {args.q})"
-    elif name == "freeprod":
-        spec = pres.build_freeprod(_parse_q(args.q))
-        label = f"freeprod (q = {args.q})"
-    elif name == "file":
-        if not args.file:
-            raise UsageError("preset 'file' needs --file")
-        with open(args.file, encoding="utf-8") as fh:
-            spec = parse_presentation(fh.read())
-        label = f"file ({args.file})"
-    else:
-        raise UsageError(f"unknown presentation {name!r}")
-    return spec, label
+    system, detail = PRESETS[args.preset](args)
+    return system, f"{args.preset} ({detail})"
 
 
 def _emit(args, payload, text):
-    if getattr(args, "format", "text") == "json":
-        print(json.dumps(payload, indent=2))
+    """Print text() or, under --format json, payload() as JSON."""
+    if args.format == "json":
+        print(json.dumps(payload(), indent=2))
     else:
-        print(text)
+        print(text())
 
 
 def cmd_fuse(args):
     x = parse_word(args.x)
     y = parse_word(args.y)
     result = fuse(x, y)
-    lines = [result.render()]
-    payload = {"x": word_str(x), "y": word_str(y), "product": result.to_pairs()}
+    lines, dims = [], {}
     if args.n is not None:
         summand_dims = [dim(w, args.n) for w, _ in result.pairs()]
         total = dim_element(result, args.n)
@@ -90,9 +92,10 @@ def cmd_fuse(args):
         lines.append(f"dims(n={args.n}): "
                      + " + ".join(str(d) for d in summand_dims)
                      + f" = {total} = {dx}*{dy}")
-        payload["dims"] = {"n": args.n, "summands": summand_dims,
-                           "total": total}
-    _emit(args, payload, "\n".join(lines))
+        dims["dims"] = {"n": args.n, "summands": summand_dims, "total": total}
+    _emit(args, lambda: {"x": word_str(x), "y": word_str(y),
+                         "product": result.to_pairs(), **dims},
+          lambda: "\n".join([result.render(), *lines]))
     return 0
 
 
@@ -109,20 +112,21 @@ def cmd_dim(args):
 def cmd_psi(args):
     w = psi(parse_word(args.x)).single_word()
     d, image = alt_dim(w), render_alt_word(w)
-    payload = {"word": args.x, "image": image,
-               "factors": [{"kind": k, "index": i} for k, i in w], "dim": d}
-    _emit(args, payload, f"{image} (dim {d})")
+    _emit(args, lambda: {"word": args.x, "image": image,
+                         "factors": [{"kind": k, "index": i} for k, i in w],
+                         "dim": d},
+          lambda: f"{image} (dim {d})")
     return 0
 
 
 def cmd_table(args):
     table = fusion_table(args.max_len)
-    payload = {"max_len": args.max_len, "seed": args.seed,
-               "entries": [{"x": word_str(x), "y": word_str(y),
-                            "product": p.to_pairs()} for x, y, p in table]}
-    text = "\n".join(f"{word_str(x)} {word_str(y)} -> {p.render()}"
-                     for x, y, p in table)
-    _emit(args, payload, text)
+    _emit(args, lambda: {"max_len": args.max_len, "seed": args.seed,
+                         "entries": [{"x": word_str(x), "y": word_str(y),
+                                      "product": p.to_pairs()}
+                                     for x, y, p in table]},
+          lambda: "\n".join(f"{word_str(x)} {word_str(y)} -> {p.render()}"
+                            for x, y, p in table))
     return 0
 
 
@@ -135,18 +139,13 @@ def parse_table_payload(blob):
 
 
 def cmd_check(args):
-    from .rewriting import confluent
-
     spec, label = _build_preset(args)
     report = confluent(spec)
-    c = report.counts()
-    payload = {"presentation": label, "seed": args.seed,
-               "confluent": report.ok,
-               "counts": c,
-               "ambiguities": report.to_payload()}
-    text = (f"presentation: {label}\nseed: {args.seed}\n"
-            + report.to_text())
-    _emit(args, payload, text)
+    _emit(args, lambda: {"presentation": label, "seed": args.seed,
+                         "confluent": report.ok, "counts": report.counts(),
+                         "ambiguities": report.to_payload()},
+          lambda: (f"presentation: {label}\nseed: {args.seed}\n"
+                   + report.to_text()))
     return 0 if report.ok else 1
 
 
@@ -154,9 +153,9 @@ def cmd_basis(args):
     spec, label = _build_preset(args)
     monos = reduced_monomials(spec, args.max_len)
     rendered = [spec.alphabet.render(m) for m in monos]
-    payload = {"presentation": label, "max_len": args.max_len,
-               "count": len(rendered), "monomials": rendered}
-    _emit(args, payload, "\n".join(rendered))
+    _emit(args, lambda: {"presentation": label, "max_len": args.max_len,
+                         "count": len(rendered), "monomials": rendered},
+          lambda: "\n".join(rendered))
     return 0
 
 
@@ -167,11 +166,11 @@ def cmd_free_check(args):
         if name not in spec.alphabet.names:
             raise UsageError(f"unknown generator {name!r}")
     free = is_free_family(spec, letters, args.max_len)
-    payload = {"presentation": label, "letters": letters,
-               "max_len": args.max_len, "free": free, "seed": args.seed}
-    _emit(args, payload,
-          f"family {{{', '.join(letters)}}} free up to length "
-          f"{args.max_len}: {free}")
+    _emit(args, lambda: {"presentation": label, "letters": letters,
+                         "max_len": args.max_len, "free": free,
+                         "seed": args.seed},
+          lambda: (f"family {{{', '.join(letters)}}} free up to length "
+                   f"{args.max_len}: {free}"))
     return 0 if free else 1
 
 
@@ -188,38 +187,31 @@ def cmd_iso(args):
 
 def cmd_verify_pi(args):
     report = pres.verify_pi(_parse_q(args.q))
-    payload = {"q": args.q, "seed": args.seed, "ok": report.ok,
-               "checks": [{"relation": c.relation, "ok": c.ok,
-                           "residual": c.residual.render(report.alphabet)}
-                          for c in report.checks]}
-    text = f"q: {args.q}\nseed: {args.seed}\n" + report.to_text()
-    _emit(args, payload, text)
+    _emit(args, lambda: {"q": args.q, "seed": args.seed, "ok": report.ok,
+                         "checks": [{"relation": c.relation, "ok": c.ok,
+                                     "residual": c.residual.render(
+                                         report.alphabet)}
+                                    for c in report.checks]},
+          lambda: f"q: {args.q}\nseed: {args.seed}\n" + report.to_text())
     return 0 if report.ok else 1
 
 
 def cmd_aaut(args):
     f = load_matrix(args.F)
     rel = pres.build_aaut(f)
-    payload = {"n": f.rows, "counts": rel.counts(),
-               "generators": list(rel.alphabet.names),
-               "families": {name: [p.render(rel.alphabet) + " = 0"
-                                   for p in polys]
-                            for name, polys in rel.families.items()}}
-    lines = [f"generators: {len(rel.alphabet.names)}"]
-    for name, polys in rel.families.items():
-        lines.append(f"[{name}] ({len(polys)} relations)")
-        lines.extend(f"  {p.render(rel.alphabet)} = 0" for p in polys)
-    _emit(args, payload, "\n".join(lines))
+    families = {name: [p.render(rel.alphabet) + " = 0" for p in polys]
+                for name, polys in rel.families.items()}
+
+    def text():
+        lines = [f"generators: {len(rel.alphabet.names)}"]
+        for name, relations in families.items():
+            lines.append(f"[{name}] ({len(relations)} relations)")
+            lines.extend("  " + r for r in relations)
+        return "\n".join(lines)
+    _emit(args, lambda: {"n": f.rows, "counts": rel.counts(),
+                         "generators": list(rel.alphabet.names),
+                         "families": families}, text)
     return 0
-
-
-def _add_format(p):
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _add_seed(p):
-    p.add_argument("--seed", type=int, default=0,
-                   help="recorded in reports for reproducibility")
 
 
 def _length(text):
@@ -234,16 +226,56 @@ def _length(text):
     return value
 
 
-def _add_preset(p):
-    p.add_argument("preset",
-                   choices=("hef", "hq", "hplus", "slq2", "freeprod", "file"))
-    p.add_argument("--E", metavar="FILE", help="matrix file for E")
-    p.add_argument("--F", metavar="FILE", help="matrix file for F")
-    p.add_argument("--q", default="sym",
-                   help="'sym' or an exact scalar such as 3/2")
-    p.add_argument("--file", metavar="FILE", help="presentation file")
-    p.add_argument("--unchecked", action="store_true",
-                   help="skip the trace preconditions (negative tests)")
+def _arg(*flags, **options):
+    """One argument spec: what `add_argument` takes."""
+    return flags, options
+
+
+FORMAT = _arg("--format", choices=("text", "json"), default="text")
+SEED = _arg("--seed", type=int, default=0,
+            help="recorded in reports for reproducibility")
+MAX_LEN = _arg("--max-len", type=_length, required=True)
+PRESET = (_arg("preset", choices=tuple(PRESETS)),
+          _arg("--E", metavar="FILE", help="matrix file for E"),
+          _arg("--F", metavar="FILE", help="matrix file for F"),
+          _arg("--q", default="sym",
+               help="'sym' or an exact scalar such as 3/2"),
+          _arg("--file", metavar="FILE", help="presentation file"),
+          _arg("--unchecked", action="store_true",
+               help="skip the trace preconditions (negative tests)"))
+
+#: command -> (handler, help, argument specs), in `cosov --help` order
+COMMANDS = {
+    "fuse": (cmd_fuse, "decompose a tensor product of simples", (
+        _arg("x"), _arg("y"),
+        _arg("-n", type=int, default=None,
+             help="also print dimensions for this fundamental size"),
+        FORMAT)),
+    "dual": (cmd_dual, "label of the dual simple", (_arg("x"),)),
+    "dim": (cmd_dim, "dimension of a simple label",
+            (_arg("x"), _arg("n", type=int))),
+    "psi": (cmd_psi, "alternated-word image of a label", (_arg("x"), FORMAT)),
+    "table": (cmd_table, "emit the fusion table up to a length",
+              (_arg("--max-len", type=_length, default=2), FORMAT, SEED)),
+    "check": (cmd_check, "confluence report for a presentation",
+              (*PRESET, FORMAT, SEED)),
+    "basis": (cmd_basis, "reduced monomials up to a length",
+              (*PRESET, MAX_LEN, FORMAT)),
+    "free-check": (cmd_free_check,
+                   "is the generated subalgebra free at this scale", (
+                       *PRESET,
+                       _arg("--letters", required=True,
+                            help="comma-separated generator names"),
+                       MAX_LEN, FORMAT, SEED)),
+    "iso": (cmd_iso, "decide Hopf isomorphism of H(E), H(F)",
+            (_arg("--E", metavar="FILE", required=True),
+             _arg("--F", metavar="FILE", required=True))),
+    "verify-pi": (cmd_verify_pi,
+                  "reduce the free-product images of all relations",
+                  (_arg("--q", default="sym"), FORMAT, SEED)),
+    "aaut-relations": (cmd_aaut, "emit quantum automorphism relation data",
+                       (_arg("--F", metavar="FILE", required=True), FORMAT)),
+}
 
 
 def build_parser():
@@ -252,75 +284,11 @@ def build_parser():
         description="Exact fusion rules and rewriting checks for universal "
                     "cosovereign Hopf algebras.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fuse", help="decompose a tensor product of simples")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("-n", type=int, default=None,
-                   help="also print dimensions for this fundamental size")
-    _add_format(p)
-    p.set_defaults(func=cmd_fuse)
-
-    p = sub.add_parser("dual", help="label of the dual simple")
-    p.add_argument("x")
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("dim", help="dimension of a simple label")
-    p.add_argument("x")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_dim)
-
-    p = sub.add_parser("psi", help="alternated-word image of a label")
-    p.add_argument("x")
-    _add_format(p)
-    p.set_defaults(func=cmd_psi)
-
-    p = sub.add_parser("table", help="emit the fusion table up to a length")
-    p.add_argument("--max-len", type=_length, default=2)
-    _add_format(p)
-    _add_seed(p)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("check", help="confluence report for a presentation")
-    _add_preset(p)
-    _add_format(p)
-    _add_seed(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("basis", help="reduced monomials up to a length")
-    _add_preset(p)
-    p.add_argument("--max-len", type=_length, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("free-check",
-                       help="is the generated subalgebra free at this scale")
-    _add_preset(p)
-    p.add_argument("--letters", required=True,
-                   help="comma-separated generator names")
-    p.add_argument("--max-len", type=_length, required=True)
-    _add_format(p)
-    _add_seed(p)
-    p.set_defaults(func=cmd_free_check)
-
-    p = sub.add_parser("iso", help="decide Hopf isomorphism of H(E), H(F)")
-    p.add_argument("--E", metavar="FILE", required=True)
-    p.add_argument("--F", metavar="FILE", required=True)
-    p.set_defaults(func=cmd_iso)
-
-    p = sub.add_parser("verify-pi",
-                       help="reduce the free-product images of all relations")
-    p.add_argument("--q", default="sym")
-    _add_format(p)
-    _add_seed(p)
-    p.set_defaults(func=cmd_verify_pi)
-
-    p = sub.add_parser("aaut-relations",
-                       help="emit quantum automorphism relation data")
-    p.add_argument("--F", metavar="FILE", required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_aaut)
-
+    for name, (func, help_text, specs) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in specs:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
     return ap
 
 

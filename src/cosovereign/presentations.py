@@ -25,10 +25,9 @@ residual must vanish identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List
 
 from .matrices import ExactMatrix, inverse, trace
 from .rewriting import Alphabet, NCPolynomial, RewriteSystem, Rule, reduce
@@ -238,17 +237,12 @@ def standard_pi_images(qv, freeprod):
     }
 
 
-@dataclass(frozen=True)
-class PiCheck:
-    relation: str
-    residual: NCPolynomial
-    ok: bool
+PiCheck = namedtuple("PiCheck", "relation residual ok")
 
 
-@dataclass
 class PiReport:
-    alphabet: Alphabet
-    checks: List[PiCheck]
+    def __init__(self, alphabet, checks):
+        self.alphabet, self.checks = alphabet, checks
 
     @property
     def ok(self):
@@ -303,12 +297,11 @@ def verify_pi(qv, image_overrides=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AautRelations:
     """Relation data only: no orientation or confluence claim is made."""
 
-    alphabet: Alphabet
-    families: Dict[str, List[NCPolynomial]]
+    def __init__(self, alphabet, families):
+        self.alphabet, self.families = alphabet, families
 
     def counts(self):
         return {name: len(polys) for name, polys in self.families.items()}

@@ -21,13 +21,10 @@ rules present.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, Tuple
 
 from .scalars import Combination, ParseError, add_term, parse_scalar
-
-Monomial = Tuple[int, ...]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_^]*")
 
@@ -136,19 +133,18 @@ class RuleOrderError(ValueError):
                 f"{render(self.lhs)}")
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(namedtuple("Rule", "lhs rhs")):
     """lhs monomial -> rhs polynomial, with every rhs monomial < lhs."""
 
-    lhs: Monomial
-    rhs: NCPolynomial
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lhs:
+    def __new__(cls, lhs, rhs):
+        if not lhs:
             raise ValueError("rule left side must be a nonempty monomial")
-        for m in self.rhs.terms:
-            if not deglex_less(m, self.lhs):
-                raise RuleOrderError(self.lhs, m)
+        for m in rhs.terms:
+            if not deglex_less(m, lhs):
+                raise RuleOrderError(lhs, m)
+        return super().__new__(cls, lhs, rhs)
 
     def render(self, alphabet):
         return f"{alphabet.render(self.lhs)} -> {self.rhs.render(alphabet)}"
@@ -163,7 +159,8 @@ class RewriteSystem:
     """A presentation: generators plus rules, compiled for matching.
 
     `index` maps each distinct lhs to the lowest rule index with that lhs;
-    `lengths` lists the distinct lhs lengths, longest first.
+    `lengths` lists the distinct lhs lengths, longest first.  Every letter
+    of every rule must lie in the alphabet.
     """
 
     __slots__ = ("alphabet", "rules", "index", "lengths")
@@ -171,8 +168,13 @@ class RewriteSystem:
     def __init__(self, alphabet, rules):
         self.alphabet = alphabet
         self.rules = tuple(rules)
+        letters = range(len(alphabet))
         index = {}
         for i, rule in enumerate(self.rules):
+            if not all(g in letters for m in (rule.lhs, *rule.rhs.terms)
+                       for g in m):
+                raise ValueError(f"rule {i} uses a letter outside the "
+                                 f"alphabet of {len(alphabet)} generators")
             index.setdefault(rule.lhs, i)
         self.index = index
         self.lengths = tuple(sorted({len(l) for l in index}, reverse=True))
@@ -223,7 +225,7 @@ def reduce(p, system, strategy="leftmost"):
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     work = dict(p.terms)
-    done: Dict[Monomial, object] = {}
+    done = {}
     while work:
         m = max(work, key=deglex_key)
         c = work.pop(m)
@@ -243,16 +245,8 @@ def reduce(p, system, strategy="leftmost"):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ambiguity:
-    """A monomial reducible by two rules; kind is 'overlap' or 'inclusion'."""
-
-    kind: str
-    i: int
-    j: int
-    witness: Monomial
-    pos_i: int
-    pos_j: int
+#: A monomial reducible by two rules; kind is 'overlap' or 'inclusion'.
+Ambiguity = namedtuple("Ambiguity", "kind i j witness pos_i pos_j")
 
 
 def find_ambiguities(rules):
@@ -292,17 +286,12 @@ def resolve(amb, system):
     return residual.is_zero(), residual
 
 
-@dataclass(frozen=True)
-class AmbiguityResult:
-    ambiguity: Ambiguity
-    resolved: bool
-    residual: NCPolynomial
+AmbiguityResult = namedtuple("AmbiguityResult", "ambiguity resolved residual")
 
 
-@dataclass
 class ConfluenceReport:
-    alphabet: Alphabet
-    results: List[AmbiguityResult]
+    def __init__(self, alphabet, results):
+        self.alphabet, self.results = alphabet, results
 
     @property
     def ok(self):
@@ -499,30 +488,28 @@ def parse_presentation(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line == "generators:":
-            section = "generators"
-            continue
-        if line == "rules:":
-            section = "rules"
-            continue
-        if section == "generators":
+        col = len(raw) - len(raw.lstrip()) + 1
+        # one generators section, then one rules section
+        if (line, section) in (("generators:", None), ("rules:", "generators")):
+            section = line[:-1]
+        elif section and line in ("generators:", "rules:"):
+            raise ParseError(f"repeated {line!r} header", line=no, col=col)
+        elif section == "generators":
             problem = _name_error(line, names)
             if problem:
-                raise ParseError(problem, line=no,
-                                 col=len(raw) - len(raw.lstrip()) + 1)
+                raise ParseError(problem, line=no, col=col)
             names.append(line)
         elif section == "rules":
-            rule_lines.append((no, raw))
+            rule_lines.append((no, raw, col))
         else:
             raise ParseError("expected 'generators:' section first", line=no,
-                             col=len(raw) - len(raw.lstrip()) + 1)
+                             col=col)
     if not names:
         raise ParseError("no generators declared", line=1, col=1)
     alphabet = Alphabet(names)
     rules = []
-    for no, raw in rule_lines:
-        # column of the first character, which is where the lhs starts
-        col = len(raw) - len(raw.lstrip()) + 1
+    # col is the column of the first character, where the lhs starts
+    for no, raw, col in rule_lines:
         if "->" not in raw:
             raise ParseError("rule line needs '->'", line=no, col=col)
         arrow = raw.index("->")

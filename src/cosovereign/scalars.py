@@ -14,7 +14,6 @@ coefficient field.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 
 class ParseError(ValueError):
@@ -351,8 +350,6 @@ class RatFunc:
 
 #: The indeterminate, as a scalar.
 q = RatFunc(_P_Q)
-
-Scalar = Union[Fraction, RatFunc]
 
 
 def as_ratfunc(s):

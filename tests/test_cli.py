@@ -1,4 +1,7 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -233,3 +236,15 @@ def test_aaut_relations(tmp_path, capsys):
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "iso", "--E", "/nonexistent", "--F", "/nonexistent")
     assert code == 2
+
+
+def test_cli_import_is_light():
+    """`import cosovereign.cli` loads none of dataclasses, inspect, typing."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import cosovereign.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

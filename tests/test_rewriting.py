@@ -10,7 +10,8 @@ from cosovereign import (Alphabet, EnumerationBound, FusionElement,
                          Rule, RuleOrderError, apply_rule_at, confluent,
                          find_ambiguities, is_free_family, parse_presentation,
                          reduce, reduced_monomials, resolve, q)
-from cosovereign.rewriting import _find_redex, deglex_key, deglex_less
+from cosovereign.rewriting import (AmbiguityResult, _find_redex, deglex_key,
+                                   deglex_less)
 from cosovereign.scalars import add_term
 
 
@@ -49,6 +50,35 @@ def test_rule_compatibility_enforced(ab):
         Rule(mono(ab, "a"), poly(ab, {"a": 1}))
     with pytest.raises(ValueError):
         Rule((), NCPolynomial())
+
+
+def test_records_keep_fields_repr_and_immutability(ab):
+    rule = Rule(mono(ab, "a.b"), NCPolynomial({(): Fraction(1)}))
+    assert repr(rule) == ("Rule(lhs=(0, 1), "
+                          "rhs=NCPolynomial({(): Fraction(1, 1)}))")
+    twin = Rule((0, 1), NCPolynomial({(): Fraction(1)}))
+    assert rule == twin and hash(rule) == hash(twin)
+    amb = find_ambiguities([rule, Rule((1, 0), NCPolynomial())])[0]
+    assert repr(amb) == ("Ambiguity(kind='overlap', i=0, j=1, "
+                         "witness=(0, 1, 0), pos_i=0, pos_j=1)")
+    result = AmbiguityResult(amb, True, NCPolynomial())
+    assert repr(result).startswith("AmbiguityResult(ambiguity=Ambiguity(")
+    for record, field in ((rule, "lhs"), (amb, "witness"),
+                          (result, "resolved")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
+def test_rewrite_system_rejects_letters_outside_alphabet(ab):
+    with pytest.raises(ValueError, match="rule 0 uses a letter outside"):
+        RewriteSystem(Alphabet(["a"]), [Rule((0, 5), NCPolynomial())])
+    ok = Rule((1, 1), NCPolynomial({(0,): Fraction(1)}))
+    with pytest.raises(ValueError, match="rule 1 uses a letter outside"):
+        RewriteSystem(ab, [ok, Rule((1, 1), NCPolynomial({(2,): 1}))])
+    with pytest.raises(ValueError, match="outside"):
+        RewriteSystem(ab, [Rule((-1, 0), NCPolynomial())])
+    assert RewriteSystem(ab, [ok]).export() == \
+        "generators:\na\nb\nrules:\nb.b -> a\n"
 
 
 def test_single_rule_no_ambiguities(ab):
@@ -194,6 +224,9 @@ def test_presentation_round_trip():
 def test_parse_presentation_errors():
     with pytest.raises(ParseError, match="generators"):
         parse_presentation("rules:\na -> 1\n")
+    with pytest.raises(ParseError, match="generators") as exc:
+        parse_presentation("# rules first\nrules:\ngenerators:\na\n")
+    assert (exc.value.line, exc.value.col) == (2, 1)
     with pytest.raises(ParseError, match="->"):
         parse_presentation("generators:\na\nrules:\na = 1\n")
     with pytest.raises(ParseError, match="left side"):
@@ -208,6 +241,8 @@ def test_parse_presentation_errors():
     ("a.a ->  a - 1/0*a", 4, 16, "zero denominator"),
     ("a.a -> a +", 4, 10, "empty term"),
     ("a.a -> 1\n   a -> a.a", 5, 4, "not order-compatible"),
+    ("a.a -> 1\ngenerators:\nb", 5, 1, "repeated 'generators:' header"),
+    ("a.a -> 1\n\trules:", 5, 2, "repeated 'rules:' header"),
 ])
 def test_parse_presentation_error_columns(rules, line, col, message):
     with pytest.raises(ParseError, match=re.escape(message)) as exc:
@@ -220,6 +255,7 @@ def test_parse_presentation_error_columns(rules, line, col, message):
     ("a\n1a", 3, 1, "invalid generator name '1a'"),
     ("  a b", 2, 3, "invalid generator name 'a b'"),
     ("a\n b\n\n   a", 5, 4, "duplicate generator name 'a'"),
+    ("a\n  generators:\nb", 3, 3, "repeated 'generators:' header"),
 ])
 def test_parse_presentation_generator_error_columns(generators, line, col,
                                                     message):
