@@ -28,12 +28,7 @@ class UsageError(Exception):
 
 
 def _parse_q(text):
-    if text == "sym":
-        return q_sym
-    value = parse_scalar(text)
-    if value == 0:
-        raise UsageError("q must be nonzero")
-    return value
+    return q_sym if text == "sym" else parse_scalar(text)
 
 
 def _hef(args):

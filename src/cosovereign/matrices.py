@@ -17,7 +17,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .scalars import ParseError, Poly, RatFunc, format_scalar, parse_scalar
+from .scalars import (INTEGER, ParseError, Poly, RatFunc, format_scalar,
+                      parse_scalar)
 
 
 class NonSquareError(ValueError):
@@ -310,33 +311,24 @@ def hopf_isomorphic(e, f):
 def parse_matrix(text):
     """Parse '<rows> <cols>' then one whitespace-separated line per row.
 
-    Errors carry the 1-based line and column of the offending token.
+    Blank lines and lines starting with '#' are skipped.  Errors carry the
+    1-based line and column of the offending token.
     """
     lines = text.splitlines()
-    header_no = None
-    for no, line in enumerate(lines, start=1):
-        if line.strip() and not line.lstrip().startswith("#"):
-            header_no = no
-            break
-    if header_no is None:
+    body = [(no, line) for no, line in enumerate(lines, start=1)
+            if line.strip() and not line.lstrip().startswith("#")]
+    if not body:
         raise ParseError("empty matrix file", line=1, col=1)
-    header = lines[header_no - 1].split()
-    if len(header) != 2 or not all(t.lstrip("-").isdigit() for t in header):
+    header_no, header = body.pop(0)
+    header = header.split()
+    if len(header) != 2 or not all(INTEGER.fullmatch(t) for t in header):
         raise ParseError("expected header '<rows> <cols>'", line=header_no, col=1)
     rows, cols = int(header[0]), int(header[1])
     if rows <= 0 or cols <= 0:
         raise ParseError("matrix dimensions must be positive", line=header_no, col=1)
 
     grid = []
-    no = header_no
-    for _ in range(rows):
-        no += 1
-        while no <= len(lines) and not lines[no - 1].strip():
-            no += 1
-        if no > len(lines):
-            raise ParseError(f"expected {rows} rows, found {len(grid)}",
-                             line=len(lines), col=1)
-        line = lines[no - 1]
+    for no, line in body[:rows]:
         tokens = list(re.finditer(r"\S+", line))
         if len(tokens) != cols:
             raise ParseError(f"expected {cols} entries, found {len(tokens)}",
@@ -346,10 +338,15 @@ def parse_matrix(text):
             try:
                 row.append(parse_scalar(tok.group()))
             except ParseError as exc:
-                inner = exc.pos if exc.pos is not None else 0
                 raise ParseError(exc.message, line=no,
-                                 col=tok.start() + 1 + inner) from None
+                                 col=tok.start() + 1 + exc.pos) from None
         grid.append(row)
+    if len(grid) < rows:
+        raise ParseError(f"expected {rows} rows, found {len(grid)}",
+                         line=len(lines), col=1)
+    if len(body) > rows:
+        raise ParseError(f"expected {rows} rows, found more",
+                         line=body[rows][0], col=1)
     return ExactMatrix(grid)
 
 

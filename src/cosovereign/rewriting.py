@@ -20,18 +20,15 @@ rules present.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .scalars import Combination, ParseError, add_term, parse_scalar
-
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_^]*")
+from .scalars import NAME, Combination, ParseError, add_term, parse_expression
 
 
 def _name_error(name, seen):
     """Why `name` cannot follow the generators `seen`, or None."""
-    if not _NAME_RE.fullmatch(name) or name == "q":
+    if not NAME.fullmatch(name):
         return f"invalid generator name {name!r}"
     if name in seen:
         return f"duplicate generator name {name!r}"
@@ -399,25 +396,6 @@ def is_free_family(system, subset, max_len):
 # ---------------------------------------------------------------------------
 
 
-def _split_top_level(text, seps):
-    """Split on separator characters at paren depth zero; keeps separators."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in seps and cur:
-            parts.append("".join(cur))
-            cur = []
-        cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return parts
-
-
 def _try_monomial(text, alphabet):
     text = text.strip()
     if not text:
@@ -426,57 +404,6 @@ def _try_monomial(text, alphabet):
     if all(n in alphabet._index for n in names):
         return tuple(alphabet._index[n] for n in names)
     return None
-
-
-def _parse_poly_text(text, alphabet, line_no, col):
-    """Polynomial from stripped `text`, which starts at 1-based `col`."""
-    terms = {}
-    for part in _split_top_level(text, "+-"):
-        # every part starts at a sign or at the start of the text
-        chunk = part.rstrip()
-        at, col = col, col + len(part)
-        sign = 1
-        if chunk[0] in "+-":
-            sign = -1 if chunk[0] == "-" else 1
-            body = chunk[1:].lstrip()
-            if not body:
-                raise ParseError("empty term in polynomial", line=line_no,
-                                 col=at)
-            at += len(chunk) - len(body)
-            chunk = body
-        coeff, mono = _parse_term_text(chunk, alphabet, line_no, at)
-        add_term(terms, mono, -coeff if sign < 0 else coeff)
-    return NCPolynomial._of(terms)
-
-
-def _parse_term_text(chunk, alphabet, line_no, col):
-    mono = _try_monomial(chunk, alphabet)
-    if mono is not None:
-        return Fraction(1), mono
-    stars = []
-    depth = 0
-    for pos, ch in enumerate(chunk):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            stars.append(pos)
-    for pos in reversed(stars):
-        mono = _try_monomial(chunk[pos + 1:], alphabet)
-        if mono is not None:
-            try:
-                coeff = parse_scalar(chunk[:pos].strip())
-            except ParseError as exc:
-                raise ParseError(exc.message, line=line_no,
-                                 col=col + exc.pos) from None
-            return coeff, mono
-    try:
-        coeff = parse_scalar(chunk)
-    except ParseError as exc:
-        raise ParseError(f"not a term: {chunk!r} ({exc.message})",
-                         line=line_no, col=col) from None
-    return coeff, ()
 
 
 def parse_presentation(text):
@@ -507,6 +434,8 @@ def parse_presentation(text):
     if not names:
         raise ParseError("no generators declared", line=1, col=1)
     alphabet = Alphabet(names)
+    generators = {name: NCPolynomial.monomial((i,), Fraction(1))
+                  for i, name in enumerate(names)}
     rules = []
     # col is the column of the first character, where the lhs starts
     for no, raw, col in rule_lines:
@@ -518,8 +447,14 @@ def parse_presentation(text):
         if not lhs:
             raise ParseError(f"invalid rule left side {lhs_text.strip()!r}",
                              line=no, col=col)
-        rhs_col = arrow + 3 + len(rhs_text) - len(rhs_text.lstrip())
-        rhs = _parse_poly_text(rhs_text.strip(), alphabet, no, rhs_col)
+        try:
+            rhs = (parse_expression(rhs_text, generators)
+                   if rhs_text.strip() else 0)
+        except ParseError as exc:
+            raise ParseError(exc.message, line=no,
+                             col=arrow + 3 + exc.pos) from None
+        if not isinstance(rhs, NCPolynomial):
+            rhs = NCPolynomial({(): rhs})
         try:
             rules.append(Rule(lhs, rhs))
         except RuleOrderError as exc:

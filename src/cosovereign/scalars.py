@@ -13,6 +13,7 @@ coefficient field.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -539,152 +540,146 @@ class Combination:
 # ---------------------------------------------------------------------------
 
 
-class _Scan:
-    def __init__(self, text, offset=0):
-        self.text = text
-        self.i = 0
-        self.offset = offset
+#: A generator name.  q alone or followed by '^' is the indeterminate, so it
+#: is no name.
+NAME = re.compile(r"(?!q(?![A-Za-z0-9_]))[A-Za-z][A-Za-z0-9_^]*")
+#: An integer literal: optionally signed ASCII digits.
+INTEGER = re.compile(r"[+-]?[0-9]+")
+_SPACE = re.compile(r"\s*")
+#: How deeply '(' and unary signs may nest; this keeps the reader's
+#: recursion far below the interpreter's limit.
+_MAX_DEPTH = 100
 
-    def err(self, message):
-        raise ParseError(message, pos=self.offset + self.i)
 
-    def ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
+def _arith(op, x, y):
+    """x op y, op one of '+', '-', '*'.  A scalar that meets a Combination
+    is first lifted onto its unit key ()."""
+    if isinstance(x, Combination) != isinstance(y, Combination):
+        if isinstance(x, Combination):
+            y = x._of({(): y} if y else {})
+        else:
+            x = y._of({(): x} if x else {})
+    return x + y if op == "+" else x - y if op == "-" else x * y
+
+
+class _Reader:
+    """Recursive-descent evaluator of the expression grammar
+
+        sum     := product (('+'|'-') product)*
+        product := factor (('*'|'/'|'.') factor)*
+        factor  := ('+'|'-') factor | integer | 'q' ['^' integer]
+                   | name | '(' sum ')'
+
+    A value stays a Fraction until q appears, and is a RatFunc after.  Names
+    evaluate through `names`, which maps them to Combinations keyed by
+    tuples.  '.' joins two names only, so a float such as 0.5 is no product.
+    """
+
+    def __init__(self, text, names):
+        self.text, self.names = text, names
+        self.i = self.depth = 0
 
     def peek(self):
-        return self.text[self.i] if self.i < len(self.text) else ""
+        """The next character after whitespace, or ''."""
+        self.i = _SPACE.match(self.text, self.i).end()
+        return self.text[self.i:self.i + 1]
 
-    def take(self, ch):
-        if self.peek() == ch:
+    def error(self, message, pos=None):
+        return ParseError(message, pos=self.i if pos is None else pos)
+
+    def enter(self):
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise self.error(f"nested deeper than {_MAX_DEPTH} levels")
+
+    def sum(self):
+        value = self.product()
+        while (op := self.peek()) in ("+", "-"):
+            at = self.i
             self.i += 1
-            return True
-        return False
+            if self.peek() in ("", ")"):
+                raise self.error(f"empty term after {op!r}", at)
+            value = _arith(op, value, self.product())
+        return value
 
-    def expect(self, ch):
-        if not self.take(ch):
-            self.err(f"expected {ch!r}")
-
-    def integer(self):
-        j = self.i
-        if self.peek() and self.peek() in "+-":
+    def product(self):
+        self.peek()
+        start = self.i
+        value, named = self.factor(start)
+        while (op := self.peek()) in ("*", "/", "."):
+            at = self.i
             self.i += 1
-        if not self.peek().isdigit():
-            self.err("expected an integer")
-        while self.peek().isdigit():
+            rhs, rhs_named = self.factor(start)
+            if op == "." and not (named and rhs_named):
+                raise self.error("'.' joins generator names only", at)
+            if op == "/":
+                if isinstance(rhs, Combination):
+                    raise self.error("divisor must be a scalar", at)
+                if not rhs:
+                    raise self.error("zero denominator")
+                rhs = 1 / rhs
+            value, named = _arith("*", value, rhs), rhs_named
+        return value
+
+    def factor(self, start):
+        """(value, whether it is a name, possibly signed); `start` is where
+        the enclosing product starts."""
+        ch = self.peek()
+        text, at = self.text, self.i
+        if ch in ("+", "-"):
             self.i += 1
-        return int(self.text[j:self.i])
+            self.enter()
+            value, named = self.factor(start)
+            self.depth -= 1
+            return (-value if ch == "-" else value), named
+        if ch == "(":
+            self.i += 1
+            self.enter()
+            value = self.sum()
+            if self.peek() != ")":
+                raise self.error("expected ')'")
+            self.i += 1
+            self.depth -= 1
+            return value, False
+        m = NAME.match(text, at)
+        if m:
+            self.i = m.end()
+            if m.group() not in self.names:
+                raise ParseError(f"not a term: {text[start:self.i]!r} "
+                                 f"(unknown name {m.group()!r})", pos=start)
+            return self.names[m.group()], True
+        if ch == "q":
+            self.i += 1
+            if not text.startswith("^", self.i):
+                return q, False
+            m = INTEGER.match(text, self.i + 1)
+            if not m:
+                raise self.error("expected an integer", self.i + 1)
+            self.i, k = m.end(), int(m.group())
+            if k < 0:
+                return RatFunc(_P_ONE, _q_power(-k)), False
+            return RatFunc(_q_power(k)), False
+        # no sign here, so INTEGER matches bare digits
+        m = INTEGER.match(text, at)
+        if not m:
+            raise self.error("expected a number, q, a name or '('")
+        self.i = m.end()
+        return Fraction(int(m.group())), False
 
 
-def _parse_laurent(sc):
-    """Sum of c*q^k terms -> (dict exponent -> Fraction, saw_q flag)."""
-    out = {}
-    saw_q = False
-    sign = 1
-    sc.ws()
-    if sc.take("-"):
-        sign = -1
-    elif sc.take("+"):
-        pass
-    while True:
-        sc.ws()
-        coeff, exp, saw = _parse_term(sc)
-        saw_q = saw_q or saw
-        out[exp] = out.get(exp, Fraction(0)) + sign * coeff
-        sc.ws()
-        if sc.take("+"):
-            sign = 1
-        elif sc.take("-"):
-            sign = -1
-        else:
-            break
-    return {k: c for k, c in out.items() if c}, saw_q
+def parse_expression(text, names=None):
+    """Value of `text` under the `_Reader` grammar.
 
-
-def _parse_term(sc):
-    """One c, c*q^k, or q^k term -> (coefficient, exponent, saw_q)."""
-    if sc.peek() == "q":
-        sc.i += 1
-        return Fraction(1), _parse_exponent(sc), True
-    if not (sc.peek().isdigit()):
-        sc.err("expected a number or q")
-    n = sc.integer()
-    coeff = Fraction(n)
-    if sc.take("/"):
-        d = sc.integer()
-        if d == 0:
-            sc.err("zero denominator")
-        coeff = Fraction(n, d)
-    if sc.take("*"):
-        if not sc.take("q"):
-            sc.err("expected q after '*'")
-        return coeff, _parse_exponent(sc), True
-    return coeff, 0, False
-
-
-def _parse_exponent(sc):
-    if sc.take("^"):
-        return sc.integer()
-    return 1
-
-
-def _laurent_to_scalar(terms, saw_q):
-    if not terms:
-        return RatFunc(_P_ZERO) if saw_q else Fraction(0)
-    lo = min(terms)
-    if not saw_q:
-        return terms.get(0, Fraction(0))
-    shift = -lo if lo < 0 else 0
-    coeffs = [Fraction(0)] * (max(terms) + shift + 1)
-    for k, c in terms.items():
-        coeffs[k + shift] = c
-    return RatFunc(Poly(coeffs), _q_power(shift))
-
-
-def parse_scalar(text, offset=0):
-    """Parse one scalar: rational literal, Laurent q-expression, or (p)/(p).
-
-    Returns a Fraction when the text never mentions q, otherwise a RatFunc.
+    Without `names` it is a scalar: a Fraction when the text never mentions
+    q, otherwise a RatFunc.  Errors carry the 0-based position in `text`.
     """
-    sc = _Scan(text, offset)
-    sc.ws()
-    neg = False
-    if sc.peek() == "-":
-        # could be a negated parenthesized form; plain terms handle their own sign
-        j = sc.i
-        sc.i += 1
-        sc.ws()
-        if sc.peek() == "(":
-            neg = True
-        else:
-            sc.i = j
-    if sc.peek() == "(":
-        sc.expect("(")
-        num_terms, saw1 = _parse_laurent(sc)
-        sc.ws()
-        sc.expect(")")
-        sc.ws()
-        if sc.take("/"):
-            sc.ws()
-            sc.expect("(")
-            den_terms, saw2 = _parse_laurent(sc)
-            sc.ws()
-            sc.expect(")")
-            num = _laurent_to_scalar(num_terms, True)
-            den = _laurent_to_scalar(den_terms, True)
-            if den.is_zero():
-                sc.err("zero denominator")
-            value = num / den
-            if not (saw1 or saw2):
-                value = value.as_fraction()
-        else:
-            value = _laurent_to_scalar(num_terms, saw1)
-    else:
-        terms, saw_q = _parse_laurent(sc)
-        value = _laurent_to_scalar(terms, saw_q)
-    sc.ws()
-    if sc.i != len(sc.text):
-        sc.err("unexpected trailing input")
-    if neg:
-        value = -value
+    reader = _Reader(text, names or {})
+    value = reader.sum()
+    if reader.peek():
+        raise reader.error("unexpected trailing input")
     return value
+
+
+def parse_scalar(text):
+    """One scalar such as 3, -5/7, q^-1, 2*q^2+1 or (q^2+1)/(q)."""
+    return parse_expression(text)

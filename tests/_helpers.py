@@ -1,9 +1,14 @@
-"""Shared generators for randomized exact-matrix tests, and a reference
-recurrence for label dimensions."""
+"""Shared generators for randomized exact-matrix tests, a reference
+recurrence for label dimensions, and reference readers for scalars and rule
+right sides."""
 
 from fractions import Fraction
 
-from cosovereign import ExactMatrix
+from hypothesis import strategies as st
+
+from cosovereign import ExactMatrix, ParseError, Poly, RatFunc
+from cosovereign.rewriting import NCPolynomial
+from cosovereign.scalars import add_term
 
 
 def random_unimodular(rng, n, steps=8):
@@ -81,3 +86,300 @@ def prefix_dim(x, n):
             d -= d2
         d1, d2 = d, d1
     return d1
+
+
+# ---------------------------------------------------------------------------
+# the scalar and rule right-side readers that the expression reader replaced,
+# kept as oracles: on every text they accept, the new reader must agree
+# ---------------------------------------------------------------------------
+
+
+class _Scan:
+    def __init__(self, text, offset=0):
+        self.text = text
+        self.i = 0
+        self.offset = offset
+
+    def err(self, message):
+        raise ParseError(message, pos=self.offset + self.i)
+
+    def ws(self):
+        while self.i < len(self.text) and self.text[self.i].isspace():
+            self.i += 1
+
+    def peek(self):
+        return self.text[self.i] if self.i < len(self.text) else ""
+
+    def take(self, ch):
+        if self.peek() == ch:
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, ch):
+        if not self.take(ch):
+            self.err(f"expected {ch!r}")
+
+    def integer(self):
+        j = self.i
+        if self.peek() and self.peek() in "+-":
+            self.i += 1
+        if not self.peek().isdigit():
+            self.err("expected an integer")
+        while self.peek().isdigit():
+            self.i += 1
+        return int(self.text[j:self.i])
+
+
+def _parse_laurent(sc):
+    """Sum of c*q^k terms -> (dict exponent -> Fraction, saw_q flag)."""
+    out = {}
+    saw_q = False
+    sign = 1
+    sc.ws()
+    if sc.take("-"):
+        sign = -1
+    elif sc.take("+"):
+        pass
+    while True:
+        sc.ws()
+        coeff, exp, saw = _parse_term(sc)
+        saw_q = saw_q or saw
+        out[exp] = out.get(exp, Fraction(0)) + sign * coeff
+        sc.ws()
+        if sc.take("+"):
+            sign = 1
+        elif sc.take("-"):
+            sign = -1
+        else:
+            break
+    return {k: c for k, c in out.items() if c}, saw_q
+
+
+def _parse_term(sc):
+    """One c, c*q^k, or q^k term -> (coefficient, exponent, saw_q)."""
+    if sc.peek() == "q":
+        sc.i += 1
+        return Fraction(1), _parse_exponent(sc), True
+    if not (sc.peek().isdigit()):
+        sc.err("expected a number or q")
+    n = sc.integer()
+    coeff = Fraction(n)
+    if sc.take("/"):
+        d = sc.integer()
+        if d == 0:
+            sc.err("zero denominator")
+        coeff = Fraction(n, d)
+    if sc.take("*"):
+        if not sc.take("q"):
+            sc.err("expected q after '*'")
+        return coeff, _parse_exponent(sc), True
+    return coeff, 0, False
+
+
+def _parse_exponent(sc):
+    if sc.take("^"):
+        return sc.integer()
+    return 1
+
+
+def _laurent_to_scalar(terms, saw_q):
+    if not terms:
+        return RatFunc(Poly()) if saw_q else Fraction(0)
+    lo = min(terms)
+    if not saw_q:
+        return terms.get(0, Fraction(0))
+    shift = -lo if lo < 0 else 0
+    coeffs = [Fraction(0)] * (max(terms) + shift + 1)
+    for k, c in terms.items():
+        coeffs[k + shift] = c
+    return RatFunc(Poly(coeffs), Poly([0] * shift + [1]))
+
+
+def reference_parse_scalar(text, offset=0):
+    """The scalar reader `parse_scalar` used before the expression reader:
+    a rational literal, a Laurent q-expression, or (p)/(p).
+
+    Returns a Fraction when the text never mentions q, otherwise a RatFunc.
+    """
+    sc = _Scan(text, offset)
+    sc.ws()
+    neg = False
+    if sc.peek() == "-":
+        # could be a negated parenthesized form; plain terms handle their own sign
+        j = sc.i
+        sc.i += 1
+        sc.ws()
+        if sc.peek() == "(":
+            neg = True
+        else:
+            sc.i = j
+    if sc.peek() == "(":
+        sc.expect("(")
+        num_terms, saw1 = _parse_laurent(sc)
+        sc.ws()
+        sc.expect(")")
+        sc.ws()
+        if sc.take("/"):
+            sc.ws()
+            sc.expect("(")
+            den_terms, saw2 = _parse_laurent(sc)
+            sc.ws()
+            sc.expect(")")
+            num = _laurent_to_scalar(num_terms, True)
+            den = _laurent_to_scalar(den_terms, True)
+            if den.is_zero():
+                sc.err("zero denominator")
+            value = num / den
+            if not (saw1 or saw2):
+                value = value.as_fraction()
+        else:
+            value = _laurent_to_scalar(num_terms, saw1)
+    else:
+        terms, saw_q = _parse_laurent(sc)
+        value = _laurent_to_scalar(terms, saw_q)
+    sc.ws()
+    if sc.i != len(sc.text):
+        sc.err("unexpected trailing input")
+    if neg:
+        value = -value
+    return value
+
+
+def _split_top_level(text, seps):
+    """Split on separator characters at paren depth zero; keeps separators."""
+    parts = []
+    depth = 0
+    cur = []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if depth == 0 and ch in seps and cur:
+            parts.append("".join(cur))
+            cur = []
+        cur.append(ch)
+    if cur:
+        parts.append("".join(cur))
+    return parts
+
+
+def _try_monomial(text, alphabet):
+    text = text.strip()
+    if not text:
+        return None
+    names = [t.strip() for t in text.split(".")]
+    if all(n in alphabet._index for n in names):
+        return tuple(alphabet._index[n] for n in names)
+    return None
+
+
+def _parse_poly_text(text, alphabet, line_no, col):
+    """Polynomial from stripped `text`, which starts at 1-based `col`."""
+    terms = {}
+    for part in _split_top_level(text, "+-"):
+        # every part starts at a sign or at the start of the text
+        chunk = part.rstrip()
+        at, col = col, col + len(part)
+        sign = 1
+        if chunk[0] in "+-":
+            sign = -1 if chunk[0] == "-" else 1
+            body = chunk[1:].lstrip()
+            if not body:
+                raise ParseError("empty term in polynomial", line=line_no,
+                                 col=at)
+            at += len(chunk) - len(body)
+            chunk = body
+        coeff, mono = _parse_term_text(chunk, alphabet, line_no, at)
+        add_term(terms, mono, -coeff if sign < 0 else coeff)
+    return NCPolynomial._of(terms)
+
+
+def _parse_term_text(chunk, alphabet, line_no, col):
+    mono = _try_monomial(chunk, alphabet)
+    if mono is not None:
+        return Fraction(1), mono
+    stars = []
+    depth = 0
+    for pos, ch in enumerate(chunk):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "*" and depth == 0:
+            stars.append(pos)
+    for pos in reversed(stars):
+        mono = _try_monomial(chunk[pos + 1:], alphabet)
+        if mono is not None:
+            try:
+                coeff = reference_parse_scalar(chunk[:pos].strip())
+            except ParseError as exc:
+                raise ParseError(exc.message, line=line_no,
+                                 col=col + exc.pos) from None
+            return coeff, mono
+    try:
+        coeff = reference_parse_scalar(chunk)
+    except ParseError as exc:
+        raise ParseError(f"not a term: {chunk!r} ({exc.message})",
+                         line=line_no, col=col) from None
+    return coeff, ()
+
+
+def reference_parse_rhs(text, alphabet):
+    """A rule right side as the presentation reader read it before the
+    expression reader: terms split at top-level signs."""
+    return _parse_poly_text(text.strip(), alphabet, 1, 1)
+
+
+# texts in the grammar the reference readers accept: terms c, c/d, c*q^k and
+# q^k joined by signs, optionally as -(p) or (p)/(p); rule right sides join
+# monomials, coefficient*monomial and coefficient terms by top-level signs
+_DIGITS = st.integers(0, 30).map(str)
+_SIGNED = st.builds(str.__add__, st.sampled_from(["", "+", "-"]), _DIGITS)
+_Q = st.builds(str.__add__, st.just("q"),
+               st.one_of(st.just(""), _SIGNED.map("^".__add__)))
+_NUMBER = st.builds(str.__add__, _DIGITS,
+                    st.one_of(st.just(""), _SIGNED.map("/".__add__)))
+_TERM = st.one_of(_Q, st.builds(str.__add__, _NUMBER, st.one_of(
+    st.just(""), _Q.map("*".__add__))))
+
+
+@st.composite
+def _laurent_texts(draw):
+    parts = [draw(st.sampled_from(["", "-", "+", " -"]))]
+    for k in range(draw(st.integers(1, 4))):
+        if k:
+            parts.append(draw(st.sampled_from(["+", "-", " + ", " - "])))
+        parts.append(draw(_TERM))
+    return "".join(parts)
+
+
+@st.composite
+def scalar_texts(draw):
+    """Texts in the grammar of `reference_parse_scalar`."""
+    text = draw(_laurent_texts())
+    form = draw(st.integers(0, 2))
+    if form:
+        text = draw(st.sampled_from(["", "-", "- "])) + f"({text})"
+    if form == 2:
+        text += draw(st.sampled_from(["/", " / "])) + f"({draw(_laurent_texts())})"
+    return text
+
+
+@st.composite
+def rhs_texts(draw, generators):
+    """Rule right sides in the grammar of `reference_parse_rhs`."""
+    monomials = st.lists(st.sampled_from(generators), min_size=1,
+                         max_size=3).map(".".join)
+    parts = []
+    for k in range(draw(st.integers(1, 4))):
+        parts.append(draw(st.sampled_from(
+            [" + ", " - ", "+", "-"] if k else ["", "-", "+"])))
+        coeff = draw(scalar_texts())
+        if draw(st.booleans()):
+            coeff = f"({coeff})"
+        kind = draw(st.integers(0, 2))
+        parts.append(draw(monomials) if kind == 0 else coeff if kind == 1
+                     else f"{coeff}*{draw(monomials)}")
+    return "".join(parts)

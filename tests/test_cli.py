@@ -174,6 +174,13 @@ def test_free_check_unknown_letter(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["check", "hq", "--q", "0"],
+                                  ["verify-pi", "--q", "0"],
+                                  ["check", "slq2", "--q", "q-q"]])
+def test_zero_q_is_a_usage_error(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: q must be nonzero\n")
+
+
 def test_negative_max_len_is_a_usage_error(capsys):
     for argv in (["table"], ["basis", "hq"],
                  ["free-check", "hq", "--letters", "a"]):

@@ -183,3 +183,25 @@ def test_matrix_parse_errors_have_position():
         parse_matrix("2 2\n1 2 3\n4 5\n")
     with pytest.raises(ParseError, match="header"):
         parse_matrix("nonsense\n")
+
+
+def test_matrix_comments_and_trailing_lines():
+    assert parse_matrix("2 2\n1 0\n# c\n\n0 1\n# end\n") == \
+        ExactMatrix.diagonal([1, 1])
+    with pytest.raises(ParseError, match="found more") as exc:
+        parse_matrix("2 2\n1 0\n0 1\ngarbage here\n")
+    assert (exc.value.line, exc.value.col) == (4, 1)
+
+
+@pytest.mark.parametrize("header", ["--2 2", "\u00b2 2", "2 +-2", "1_0 2"])
+def test_matrix_header_needs_ascii_integers(header):
+    with pytest.raises(ParseError, match="header") as exc:
+        parse_matrix(f"# size\n{header}\n1 0\n0 1\n")
+    assert (exc.value.line, exc.value.col) == (2, 1)
+
+
+def test_matrix_entry_nesting_is_bounded():
+    entry = "(" * 1000 + "1" + ")" * 1000
+    with pytest.raises(ParseError, match="nested deeper") as exc:
+        parse_matrix(f"1 2\n1 {entry}\n")
+    assert exc.value.line == 2

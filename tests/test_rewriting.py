@@ -13,6 +13,7 @@ from cosovereign import (Alphabet, EnumerationBound, FusionElement,
 from cosovereign.rewriting import (AmbiguityResult, _find_redex, deglex_key,
                                    deglex_less)
 from cosovereign.scalars import add_term
+from _helpers import reference_parse_rhs, rhs_texts
 
 
 def mono(alphabet, text):
@@ -256,6 +257,7 @@ def test_parse_presentation_error_columns(rules, line, col, message):
     ("  a b", 2, 3, "invalid generator name 'a b'"),
     ("a\n b\n\n   a", 5, 4, "duplicate generator name 'a'"),
     ("a\n  generators:\nb", 3, 3, "repeated 'generators:' header"),
+    ("q^2", 2, 1, "invalid generator name 'q^2'"),
 ])
 def test_parse_presentation_generator_error_columns(generators, line, col,
                                                     message):
@@ -278,6 +280,44 @@ b.a -> (q^2)*a.b - 1/2*a + 3
     assert rhs.coefficient(alphabet.word("a", "b")) == q ** 2
     assert rhs.coefficient(alphabet.word("a")) == Fraction(-1, 2)
     assert rhs.coefficient(()) == 3
+
+
+def test_parse_presentation_reads_q_powers_and_empty_sides():
+    system = parse_presentation(
+        "generators:\na\nb\nrules:\nb.a -> q^-1*a.b\na.a ->\n")
+    ab = system.alphabet.word("a", "b")
+    assert system.rules[0].rhs == NCPolynomial({ab: q ** -1})
+    assert system.rules[1].rhs == NCPolynomial()
+
+
+@pytest.mark.parametrize("rhs, message", [
+    ("0.5", "'.' joins"), ("1.5*a", "'.' joins"), ("2.a", "'.' joins"),
+    ("a.2", "'.' joins"), ("(" * 1000 + "a" + ")" * 1000, "nested deeper"),
+    ("-" * 1000 + "a", "nested deeper")],
+    ids=["0.5", "1.5*a", "2.a", "a.2", "parentheses", "signs"])
+def test_parse_presentation_rejects_floats_and_deep_nesting(rhs, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_presentation(f"generators:\na\nb\nrules:\nb.a -> {rhs}\n")
+    assert exc.value.line == 5
+
+
+_GENERATORS = ["b", "a", "qa", "x1", "c^2"]
+
+
+@seed(2002)
+@settings(max_examples=300, deadline=None, database=None)
+@given(rhs_texts(_GENERATORS))
+def test_rule_right_sides_match_reference(text):
+    alphabet = Alphabet(_GENERATORS)
+    try:
+        expected = reference_parse_rhs(text, alphabet)
+    except ParseError:
+        return
+    lines = ["generators:", *_GENERATORS, "rules:",
+             f"c^2.c^2.c^2.c^2 -> {text}"]
+    rhs = parse_presentation("\n".join(lines)).rules[0].rhs
+    assert rhs == expected
+    assert rhs.render(alphabet) == expected.render(alphabet)
 
 
 def test_ncpolynomial_rejects_floats():

@@ -7,6 +7,7 @@ from hypothesis import given, seed, settings, strategies as st
 from cosovereign import (FusionElement, NCPolynomial, ParseError, Poly,
                          RatFunc, RepElement, format_scalar, parse_scalar, q)
 from cosovereign.scalars import as_ratfunc
+from _helpers import reference_parse_scalar, scalar_texts
 
 
 def test_parse_rationals():
@@ -32,6 +33,42 @@ def test_parse_errors_carry_positions(text):
     with pytest.raises(ParseError) as exc:
         parse_scalar(text)
     assert exc.value.pos is not None
+
+
+@seed(2002)
+@settings(max_examples=300, deadline=None, database=None)
+@given(scalar_texts())
+def test_parse_scalar_matches_reference(text):
+    try:
+        expected = reference_parse_scalar(text)
+    except ParseError:
+        with pytest.raises(ParseError):
+            parse_scalar(text)
+        return
+    value = parse_scalar(text)
+    assert value == expected and type(value) is type(expected)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2*3", Fraction(6)), ("q/2", q / 2), ("--1", Fraction(1)),
+    ("1/2/3", Fraction(1, 6)), ("q^-1*q^2", q), ("-(1/2)*(q+1)", -(q + 1) / 2),
+])
+def test_parse_scalar_reads_more_than_reference(text, value):
+    assert parse_scalar(text) == value
+
+
+@pytest.mark.parametrize("text", ["0.5", "1.5", "2.", ".5", "2.q"])
+def test_parse_scalar_rejects_floats(text):
+    with pytest.raises(ParseError):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("text", ["(" * 1000 + "1" + ")" * 1000,
+                                  "-" * 1000 + "1", "-(" * 500 + "q" + ")" * 500],
+                         ids=["parentheses", "signs", "both"])
+def test_parse_scalar_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_scalar(text)
 
 
 def test_render_round_trip():
