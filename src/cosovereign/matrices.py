@@ -9,7 +9,8 @@ q = +-1, which stays generic).
 
 Similarity is decided by rational canonical form, i.e. by the invariant
 factors of the characteristic matrix, so no eigenvalue computation or field
-extension is ever needed.
+extension is ever needed; the Hopf-isomorphism test needs only those of E
+and F.
 """
 
 from __future__ import annotations
@@ -94,9 +95,6 @@ class ExactMatrix:
     def transpose(self):
         return ExactMatrix([[self.entries[i][j] for i in range(self.rows)]
                             for j in range(self.cols)])
-
-    def __neg__(self):
-        return ExactMatrix([[-x for x in row] for row in self.entries])
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -195,62 +193,15 @@ def is_generic(f):
 # ---------------------------------------------------------------------------
 
 
-def _smith_diagonal(a):
-    """Diagonalize a matrix over Q[x] by row/column operations, in place."""
-    n, m = len(a), len(a[0])
-    diag = []
-    k = 0
-    while k < min(n, m):
-        piv = None
-        for i in range(k, n):
-            for j in range(k, m):
-                e = a[i][j]
-                if not e.is_zero() and (piv is None or
-                                        e.degree() < a[piv[0]][piv[1]].degree()):
-                    piv = (i, j)
-        if piv is None:
-            break
-        if piv[0] != k:
-            a[k], a[piv[0]] = a[piv[0]], a[k]
-        if piv[1] != k:
-            for row in a:
-                row[k], row[piv[1]] = row[piv[1]], row[k]
-        while True:
-            changed = True
-            while changed:
-                changed = False
-                for i in range(k + 1, n):
-                    if a[i][k].is_zero():
-                        continue
-                    qt = a[i][k] // a[k][k]
-                    for j in range(k, m):
-                        a[i][j] = a[i][j] - qt * a[k][j]
-                    if not a[i][k].is_zero():
-                        a[k], a[i] = a[i], a[k]
-                        changed = True
-                for j in range(k + 1, m):
-                    if a[k][j].is_zero():
-                        continue
-                    qt = a[k][j] // a[k][k]
-                    for i in range(k, n):
-                        a[i][j] = a[i][j] - qt * a[i][k]
-                    if not a[k][j].is_zero():
-                        for row in a:
-                            row[k], row[j] = row[j], row[k]
-                        changed = True
-            bad = next(((i, j) for i in range(k + 1, n) for j in range(k + 1, m)
-                        if not (a[i][j] % a[k][k]).is_zero()), None)
-            if bad is None:
-                break
-            for j in range(k, m):
-                a[k][j] = a[k][j] + a[bad[0]][j]
-        diag.append(a[k][k])
-        k += 1
-    return diag
-
-
 def invariant_factors(m):
-    """Monic non-constant invariant factors of xI - M, in divisibility order."""
+    """Monic non-constant invariant factors of xI - M, in divisibility order.
+
+    Smith form, one loop per diagonal position: move a least-degree entry of
+    the trailing block to the pivot and divide the pivot out of its row and
+    column; repeat while a remainder, or an entry the pivot does not divide
+    (its row added into the pivot row), leaves a lower degree.  xI - M has
+    full rank, so the trailing block is never zero.
+    """
     if not m.is_square():
         raise NonSquareError("invariant factors of a non-square matrix")
     if m.mode != "rational":
@@ -258,7 +209,29 @@ def invariant_factors(m):
     n = m.rows
     a = [[Poly([-m.entries[i][j], 1]) if i == j else Poly([-m.entries[i][j]])
           for j in range(n)] for i in range(n)]
-    diag = _smith_diagonal(a)
+    diag = []
+    for k in range(n):
+        while True:
+            _, i, j = min((a[i][j].degree(), i, j) for i in range(k, n)
+                          for j in range(k, n) if not a[i][j].is_zero())
+            a[k], a[i] = a[i], a[k]
+            for row in a:
+                row[k], row[j] = row[j], row[k]
+            p = a[k][k]
+            for row in a[k + 1:]:
+                qt = row[k] // p
+                row[k:] = [x - qt * y for x, y in zip(row[k:], a[k][k:])]
+            for j in range(k + 1, n):
+                qt = a[k][j] // p
+                for row in a[k:]:
+                    row[j] = row[j] - qt * row[k]
+            bad = next((i for i in range(k, n) for j in range(k, n)
+                        if not (a[i][j] % p).is_zero()), None)
+            if bad is None:
+                break
+            if bad > k:
+                a[k] = [x + y for x, y in zip(a[k], a[bad])]
+        diag.append(p)
     return tuple(d.monic() for d in diag if d.degree() >= 1)
 
 
@@ -271,19 +244,26 @@ def similar(a, b):
     return invariant_factors(a) == invariant_factors(b)
 
 
-_ISO_CONDITIONS = (
-    ("i", "F ~ E", lambda e, f: similar(f, e)),
-    ("i", "F ~ -E", lambda e, f: similar(f, -e)),
-    ("ii", "tF^-1 ~ E", lambda e, f: similar(inverse(f).transpose(), e)),
-    ("ii", "tF^-1 ~ -E", lambda e, f: similar(inverse(f).transpose(), -e)),
-)
+def _negated(p):
+    """(-1)^deg p(-x): the invariant factor of -M for the factor p of M."""
+    d = p.degree()
+    return Poly(-c if (d - i) % 2 else c for i, c in enumerate(p.coeffs))
+
+
+def _reciprocal(p):
+    """x^deg p(1/x) / p(0): the invariant factor of M^-1 for the factor p of
+    an invertible M."""
+    return Poly(c / p.coeffs[0] for c in reversed(p.coeffs))
 
 
 def hopf_isomorphism_witness(e, f):
     """Which isomorphism condition holds, as '(i|ii): detail', or None.
 
     Both inputs must be generic; that hypothesis is checked and violations
-    are rejected rather than answered.
+    are rejected rather than answered.  All four conditions are read off the
+    invariant factors of E and F: tM is similar to M, and negating or
+    inverting a cyclic block leaves it cyclic, with factor p(-x) up to sign
+    or the reciprocal of p.
     """
     for name, mat in (("E", e), ("F", f)):
         if not is_generic(mat):
@@ -292,9 +272,13 @@ def hopf_isomorphism_witness(e, f):
                 f"only applies to generic matrices")
     if e.rows != f.rows:
         return None
-    for cond, detail, check in _ISO_CONDITIONS:
-        if check(e, f):
-            return f"{cond}: {detail}"
+    fe, ff = invariant_factors(e), invariant_factors(f)
+    signed_e = ((fe, "E"), (tuple(map(_negated, fe)), "-E"))
+    for cond, lhs, name in (("i", ff, "F"),
+                            ("ii", tuple(map(_reciprocal, ff)), "tF^-1")):
+        for rhs, rhs_name in signed_e:
+            if lhs == rhs:
+                return f"{cond}: {name} ~ {rhs_name}"
     return None
 
 

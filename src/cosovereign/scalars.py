@@ -549,6 +549,9 @@ _SPACE = re.compile(r"\s*")
 #: How deeply '(' and unary signs may nest; this keeps the reader's
 #: recursion far below the interpreter's limit.
 _MAX_DEPTH = 100
+#: Largest |k| in q^k; polynomials are dense, so q^k holds k + 1
+#: coefficients, and a few digits must not ask for gigabytes.
+_MAX_Q_EXPONENT = 10_000
 
 
 def _arith(op, x, y):
@@ -656,6 +659,9 @@ class _Reader:
             if not m:
                 raise self.error("expected an integer", self.i + 1)
             self.i, k = m.end(), int(m.group())
+            if abs(k) > _MAX_Q_EXPONENT:
+                raise self.error(f"q exponent beyond {_MAX_Q_EXPONENT}",
+                                 m.start())
             if k < 0:
                 return RatFunc(_P_ONE, _q_power(-k)), False
             return RatFunc(_q_power(k)), False

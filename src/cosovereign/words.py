@@ -6,7 +6,11 @@ swaps the letters.  The fusion product of two words is
 
     x (*) y  =  sum of a.b  over all splittings x = a.g, y = bar(g).b,
 
-extended bilinearly to integer combinations.  Each simple label U_x has one
+extended bilinearly to integer combinations.  Over two letters, bar(g) is a
+prefix of y exactly when x and y differ letter by letter where they meet, so
+the splittings are the cancellation lengths k = 0..K, K the first i with
+x[-1-i] == y[i] (or the shorter length), and the summands x[:len(x)-k] + y[k:]
+differ in length: every multiplicity is 1.  Each simple label U_x has one
 dimension for every n >= 2 (the size of the fundamental comodule): dim is the
 unique ring morphism to Z sending both letters to n, read off the embedding
 psi into the representation ring of Z * SU_q(2) as alt_dim(psi_word(x), n).
@@ -79,15 +83,18 @@ class FusionElement(Combination):
         return cls({parse_word(w): c for w, c in pairs})
 
 
-def _odot_words(x, y):
-    out = {}
-    for cut in range(len(x) + 1):
-        a, g = x[:cut], x[cut:]
-        gb = bar(g)
-        if y.startswith(gb):
-            w = a + y[len(gb):]
-            out[w] = out.get(w, 0) + 1
-    return FusionElement._of(out)
+def fuse(x, y):
+    """Decomposition of U_x tensor U_y into simple labels; equals odot(x, y).
+
+    Cancelling k letters is a splitting while x[-1-i] != y[i] for all i < k.
+    """
+    most = 0
+    for s, t in zip(reversed(x), y):
+        if s == t:
+            break
+        most += 1
+    n = len(x)
+    return FusionElement._of({x[:n - k] + y[k:]: 1 for k in range(most + 1)})
 
 
 def _as_element(x):
@@ -99,19 +106,14 @@ def _as_element(x):
 def odot(x, y):
     """Fusion product; words or FusionElements, extended bilinearly."""
     if isinstance(x, str) and isinstance(y, str):
-        return _odot_words(x, y)
+        return fuse(x, y)
     xe, ye = _as_element(x), _as_element(y)
     out = {}
     for wx, cx in xe.terms.items():
         for wy, cy in ye.terms.items():
-            for w, c in _odot_words(wx, wy).terms.items():
-                add_term(out, w, cx * cy * c)
+            for w in fuse(wx, wy).terms:
+                add_term(out, w, cx * cy)
     return FusionElement._of(out)
-
-
-def fuse(x, y):
-    """Decomposition of U_x tensor U_y into simple labels; equals odot(x, y)."""
-    return _odot_words(x, y)
 
 
 def _dimension_parameter(n):
@@ -147,4 +149,4 @@ def fusion_table(max_len):
         raise ValueError(
             f"fusion table bound exceeded: max_len {max_len} > {TABLE_MAX_LEN}")
     ws = words_up_to(max_len)
-    return [(x, y, _odot_words(x, y)) for x in ws for y in ws]
+    return [(x, y, fuse(x, y)) for x in ws for y in ws]

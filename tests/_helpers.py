@@ -1,12 +1,14 @@
 """Shared generators for randomized exact-matrix tests, a reference
-recurrence for label dimensions, and reference readers for scalars and rule
-right sides."""
+recurrence for label dimensions, the splitting sum and the four-similarity
+isomorphism search that the closed forms replaced, and reference readers for
+scalars and rule right sides."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from cosovereign import ExactMatrix, ParseError, Poly, RatFunc
+from cosovereign import (ExactMatrix, FusionElement, ParseError, Poly,
+                         RatFunc, bar, inverse, is_generic, similar)
 from cosovereign.rewriting import NCPolynomial
 from cosovereign.scalars import add_term
 
@@ -46,7 +48,6 @@ def generic_integer_matrix(rng, n, trace, det_param=None):
     else:
         raise ValueError("sizes 2..4 only")
     p = random_unimodular(rng, n)
-    from cosovereign import inverse
     return p * companion(coeffs) * inverse(p)
 
 
@@ -86,6 +87,48 @@ def prefix_dim(x, n):
             d -= d2
         d1, d2 = d, d1
     return d1
+
+
+# runs of one letter and alternating runs, so that long V_j factors and long
+# cancellations occur
+labels = st.lists(st.tuples(st.sampled_from(("a", "b", "ab", "ba")),
+                            st.integers(1, 60)), max_size=24).map(
+    lambda runs: "".join(piece * k for piece, k in runs)[:400])
+
+
+def reference_fuse(x, y):
+    """x (*) y by trying every cut x = a.g and keeping those where bar(g)
+    is a prefix of y."""
+    out = {}
+    for cut in range(len(x) + 1):
+        a, g = x[:cut], x[cut:]
+        gb = bar(g)
+        if y.startswith(gb):
+            w = a + y[len(gb):]
+            out[w] = out.get(w, 0) + 1
+    return FusionElement(out)
+
+
+def negated(m):
+    return ExactMatrix([[-x for x in row] for row in m.entries])
+
+
+def reference_iso_witness(e, f):
+    """The isomorphism witness by up to four similarity tests, each on
+    matrices built explicitly: F ~ E, F ~ -E, tF^-1 ~ E, tF^-1 ~ -E."""
+    for name, mat in (("E", e), ("F", f)):
+        if not is_generic(mat):
+            raise ValueError(f"matrix {name} is not generic")
+    if e.rows != f.rows:
+        return None
+    tf_inv = inverse(f).transpose()
+    for cond, detail, lhs, rhs in (("i", "F ~ E", f, e),
+                                   ("i", "F ~ -E", f, negated(e)),
+                                   ("ii", "tF^-1 ~ E", tf_inv, e),
+                                   ("ii", "tF^-1 ~ -E", tf_inv, negated(e))):
+        if similar(lhs, rhs):
+            return f"{cond}: {detail}"
+    return None
 
 
 # ---------------------------------------------------------------------------

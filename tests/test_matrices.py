@@ -1,16 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import invariant_factors as sympy_factors
 
 from cosovereign import (ExactMatrix, NonSquareError, ParseError,
                          SingularMatrixError, determinant, format_matrix,
                          hopf_isomorphic, hopf_isomorphism_witness,
                          invariant_factors, inverse, is_generic,
                          is_normalizable, is_normalized, matrix_fq,
-                         parse_matrix, similar, trace, q)
-from _helpers import companion, generic_integer_matrix, normalized_2x2, \
-    random_unimodular
+                         Poly, parse_matrix, similar, trace, q)
+from _helpers import companion, generic_integer_matrix, negated, \
+    normalized_2x2, random_unimodular, reference_iso_witness
 
 
 def test_trace_examples():
@@ -119,6 +122,58 @@ def test_invariant_factors_divisibility_chain():
     assert invariant_factors(d) == (Poly([-2, 1]),) * 3
 
 
+def _sympy_invariant_factors(m):
+    """sympy's invariant factors of xI - M over Q[x], monic, constants
+    dropped."""
+    x = sympy.Symbol("x")
+    sm = sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(
+        m[i, j].numerator, m[i, j].denominator))
+    facs = (sympy.Poly(f, x).monic() for f in sympy_factors(
+        x * sympy.eye(m.rows) - sm, domain=sympy.QQ[x]))
+    return tuple(Poly([Fraction(int(c.p), int(c.q))
+                       for c in reversed(f.all_coeffs())])
+                 for f in facs if f.degree() >= 1)
+
+
+def _jordan_type(rng, n):
+    """Jordan blocks with eigenvalues from {0, 1, 2}, so that eigenvalues
+    repeat across blocks, conjugated by a unimodular matrix."""
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        size = rng.randint(1, n - start)
+        lam = rng.choice((0, 1, 2))
+        for i in range(start, start + size):
+            rows[i][i] = lam
+            if i > start:
+                rows[i - 1][i] = 1
+        start += size
+    if n == 1:
+        return ExactMatrix(rows)
+    p = random_unimodular(rng, n)
+    return p * ExactMatrix(rows) * inverse(p)
+
+
+def test_invariant_factors_and_similar_match_sympy():
+    rng = random.Random(2002)
+    mats = []
+    for _ in range(75):
+        n = rng.randint(1, 6)
+        mats.append(ExactMatrix([[rng.randrange(-3, 4) for _ in range(n)]
+                                 for _ in range(n)]))
+        mats.append(_jordan_type(rng, rng.randint(1, 6)))
+    factors = [_sympy_invariant_factors(m) for m in mats]
+    for m, facs in zip(mats, factors):
+        assert invariant_factors(m) == facs
+    verdicts = set()
+    for (a, fa), (b, fb) in itertools.combinations(zip(mats[1::2],
+                                                       factors[1::2]), 2):
+        if a.rows == b.rows:
+            verdicts.add(similar(a, b))
+            assert similar(a, b) == (fa == fb)
+    assert verdicts == {True, False}
+
+
 def test_similar_examples():
     assert similar(ExactMatrix([[0, -1], [1, 0]]), ExactMatrix([[0, 1], [-1, 0]]))
     assert not similar(ExactMatrix.diagonal([1, 2]), ExactMatrix.diagonal([1, 3]))
@@ -163,6 +218,38 @@ def test_hopf_isomorphic():
     # non-generic inputs violate the hypothesis and are rejected
     with pytest.raises(ValueError, match="generic"):
         hopf_isomorphic(ExactMatrix.diagonal([1, 2]), e)
+
+
+_WITNESSES = {"i: F ~ E", "i: F ~ -E", "ii: tF^-1 ~ E", "ii: tF^-1 ~ -E",
+              None}
+
+
+def test_iso_witness_matches_four_similarity_search():
+    # F conjugate to E, -E, t(E^-1) or t(-E)^-1, or an unrelated generic
+    # matrix; det_param 2 or 3 keeps a 3x3 or 4x4 E from its own transpose
+    # inverse, so that condition ii is the first to hold
+    rng = random.Random(2002)
+    seen = set()
+    for _ in range(60):
+        n = rng.choice((2, 3, 4))
+        e = generic_integer_matrix(rng, n, rng.choice((2, 3, 4, 5, -3)),
+                                   det_param=rng.choice((1, -1, 2, 3)))
+        kind = rng.randrange(5)
+        if kind == 4:
+            f = generic_integer_matrix(rng, n, rng.choice((6, 7, -5)))
+        else:
+            g = negated(e) if kind % 2 else e
+            if kind >= 2:
+                g = inverse(g).transpose()
+            p = random_unimodular(rng, n)
+            f = p * g * inverse(p)
+        witness = reference_iso_witness(e, f)
+        assert hopf_isomorphism_witness(e, f) == witness
+        seen.add(witness)
+    assert seen == _WITNESSES
+    e, f = generic_integer_matrix(rng, 3, 4), generic_integer_matrix(rng, 2, 4)
+    assert hopf_isomorphism_witness(e, f) is None
+    assert reference_iso_witness(e, f) is None
 
 
 def test_matrix_parse_and_format():

@@ -3,14 +3,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import given, seed, settings
 from sympy import Rational, chebyshevu
 
 from cosovereign import (RepElement, alt_dim, check_alt_word, clebsch_gordan,
                          dim, multiply, odot, parse_alt_word, psi, psi_word,
                          render_alt_word, so3_fuse, words_up_to)
 from cosovereign.repring import PSI_A, PSI_B
-from _helpers import prefix_dim
+from _helpers import labels, prefix_dim
 
 Z, V = "Z", "V"
 
@@ -221,15 +221,9 @@ def _psi_by_peeling(x):
     return p1
 
 
-# runs of one letter and alternating runs, so that long V_j factors occur
-_labels = st.lists(st.tuples(st.sampled_from(("a", "b", "ab", "ba")),
-                             st.integers(1, 60)), max_size=24).map(
-    lambda runs: "".join(piece * k for piece, k in runs)[:400])
-
-
 @seed(2002)
 @settings(max_examples=80, deadline=None, database=None)
-@given(_labels)
+@given(labels)
 def test_closed_forms_match_peel_off(x):
     assert _psi_by_peeling(x) == psi(x)
     assert psi(x).single_word() == check_alt_word(psi_word(x))

@@ -71,6 +71,15 @@ def test_parse_scalar_deep_nesting_is_a_parse_error(text):
         parse_scalar(text)
 
 
+@pytest.mark.parametrize("text", ["q^10001", "2*q^-99999999", "q^" + "9" * 60])
+def test_parse_scalar_bounds_q_exponents(text):
+    # q^k is stored densely, so these would ask for gigabytes or overflow
+    with pytest.raises(ParseError, match="q exponent beyond 10000") as exc:
+        parse_scalar(text)
+    assert exc.value.pos == text.index("^") + 1
+    assert parse_scalar("q^10000") * parse_scalar("q^-10000") == 1
+
+
 def test_render_round_trip():
     samples = ["3", "-5/7", "q", "q^-1", "2*q^2-q+1/2", "(q^2+1)/(q^2+q)", "0"]
     for text in samples:

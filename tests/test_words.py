@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from cosovereign import (FusionElement, ParseError, bar, dim, dim_element,
                          dual, fuse, fusion_table, odot, parse_word, word_str,
                          words_up_to)
+from _helpers import labels, reference_fuse
 
 
 def fe(*words):
@@ -77,6 +79,33 @@ def test_term_count_matches_splitting_count():
             count = sum(1 for k in range(len(x) + 1)
                         if y.startswith(bar(x[len(x) - k:])))
             assert len(fuse(x, y)) == count
+
+
+def test_fuse_is_the_splitting_sum_small():
+    ws = words_up_to(6)
+    for x in ws:
+        for y in ws:
+            assert fuse(x, y) == reference_fuse(x, y)
+
+
+@st.composite
+def _meeting_labels(draw):
+    """(x, y), where half the time y starts with bar of a suffix of x, so
+    that long cancellations occur."""
+    x = draw(labels)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(x)))
+        return x, (bar(x[len(x) - k:]) + draw(labels))[:400]
+    return x, draw(labels)
+
+
+@seed(2002)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_meeting_labels())
+def test_fuse_is_the_splitting_sum(xy):
+    x, y = xy
+    assert fuse(x, y) == reference_fuse(x, y)
+    assert odot(x, y) == fuse(x, y)
 
 
 def test_duality_detection():
