@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 
 from .scalars import (INTEGER, ParseError, Poly, RatFunc, format_scalar,
-                      parse_scalar)
+                      parse_integer, parse_scalar)
 
 
 class NonSquareError(ValueError):
@@ -304,10 +304,14 @@ def parse_matrix(text):
     if not body:
         raise ParseError("empty matrix file", line=1, col=1)
     header_no, header = body.pop(0)
-    header = header.split()
-    if len(header) != 2 or not all(INTEGER.fullmatch(t) for t in header):
+    sizes = [INTEGER.fullmatch(header, *t.span())
+             for t in re.finditer(r"\S+", header)]
+    if len(sizes) != 2 or not all(sizes):
         raise ParseError("expected header '<rows> <cols>'", line=header_no, col=1)
-    rows, cols = int(header[0]), int(header[1])
+    try:
+        rows, cols = map(parse_integer, sizes)
+    except ParseError as exc:
+        raise ParseError(exc.message, line=header_no, col=exc.pos + 1) from None
     if rows <= 0 or cols <= 0:
         raise ParseError("matrix dimensions must be positive", line=header_no, col=1)
 

@@ -23,7 +23,7 @@ import math
 import operator
 import re
 
-from .scalars import Combination, ParseError, add_term
+from .scalars import Combination, ParseError
 
 Z, V = "Z", "V"
 
@@ -87,6 +87,7 @@ class RepElement(Combination):
 
     __slots__ = ()
     _order = staticmethod(lambda w: (-len(w), w))
+    _times = staticmethod(lambda w1, w2: _mul_words(w1, w2).items())
 
     @classmethod
     def from_word(cls, w):
@@ -143,21 +144,9 @@ def _mul_words(w1, w2):
     return out
 
 
-def _as_element(x):
-    if isinstance(x, RepElement):
-        return x
-    return RepElement.from_word(x)
-
-
 def multiply(u, v):
     """Tensor-product decomposition, bilinear over integer combinations."""
-    ue, ve = _as_element(u), _as_element(v)
-    out = {}
-    for wu, cu in ue.terms.items():
-        for wv, cv in ve.terms.items():
-            for w, c in _mul_words(wu, wv).items():
-                add_term(out, w, cu * cv * c)
-    return RepElement._of(out)
+    return RepElement.lift(u) * RepElement.lift(v)
 
 
 PSI_A = ((Z, 1), (V, 1))

@@ -5,14 +5,16 @@ then lexicographically by generator position (deg-lex).  A rule rewrites its
 left-hand monomial to a polynomial whose monomials are all strictly smaller;
 that compatibility is enforced at construction and guarantees termination of
 reduction, since deg-lex is a well-order that respects concatenation on both
-sides.
+sides.  Reduction keeps one redex order (leftmost redex, longest lhs, lowest
+rule index), so a monomial is always rewritten the same way and `reduce` is
+linear, whether or not the rules are confluent.
 
 An ambiguity is a monomial reducible by two rules in two ways: an overlap
 (a proper suffix of one left side equals a proper prefix of another) or an
 inclusion (one left side occurs inside another; two distinct rules sharing a
 left side count as an inclusion too).  The system is confluent when every
-ambiguity resolves, i.e. both one-step reducts share a normal form; the
-diamond lemma then makes the reduced monomials a linear basis.
+ambiguity resolves, i.e. the difference of its two one-step reducts reduces
+to zero; the diamond lemma then makes the reduced monomials a linear basis.
 
 The engine is presentation-agnostic: nothing here knows which algebra the
 rules present.
@@ -94,22 +96,11 @@ class NCPolynomial(Combination):
     __slots__ = ()
     # deg-lex descending: longest first, then larger generators first
     _order = staticmethod(lambda m: (-len(m), tuple(-g for g in m)))
+    _times = staticmethod(lambda m1, m2: ((m1 + m2, 1),))
 
     @classmethod
     def monomial(cls, m, coeff=1):
         return cls({tuple(m): coeff})
-
-    scaled = Combination.__rmul__
-
-    def __mul__(self, other):
-        """Concatenation product."""
-        if not isinstance(other, NCPolynomial):
-            return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                add_term(out, m1 + m2, c1 * c2)
-        return self._of(out)
 
     def render(self, alphabet):
         return self._render(alphabet.render)
@@ -183,17 +174,16 @@ class RewriteSystem:
         return "\n".join(lines) + "\n"
 
 
-def _find_redex(m, system, strategy):
-    """(pos, rule) of the first redex in strategy order, or None.
+def _find_redex(m, system):
+    """(pos, rule) of the leftmost redex, or None.
 
     At one position at most one lhs of each length matches, so trying the
     lengths longest first picks the deg-lex-largest matching lhs, and the
     index holds the lowest rule index for it.
     """
     n = len(m)
-    positions = range(n) if strategy == "leftmost" else range(n - 1, -1, -1)
     index, lengths = system.index, system.lengths
-    for pos in positions:
+    for pos in range(n):
         room = n - pos
         for size in lengths:
             if size <= room:
@@ -211,22 +201,19 @@ def apply_rule_at(m, rule, pos):
     return NCPolynomial._of({a + t + b: c for t, c in rule.rhs.terms.items()})
 
 
-def reduce(p, system, strategy="leftmost"):
-    """Normal form of a polynomial under the rules.
+def reduce(p, system):
+    """Normal form of a polynomial under the rules, a linear map.
 
     Terminates for order-compatible rules because every step replaces a
-    monomial by strictly smaller ones.  For confluent systems the result is
-    strategy-independent; 'leftmost' and 'rightmost' pick which occurrence
-    fires first.
+    monomial by strictly smaller ones.  Each monomial is rewritten at its
+    leftmost redex, so its normal form does not depend on the rest of `p`.
     """
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     work = dict(p.terms)
     done = {}
     while work:
         m = max(work, key=deglex_key)
         c = work.pop(m)
-        hit = _find_redex(m, system, strategy)
+        hit = _find_redex(m, system)
         if hit is None:
             add_term(done, m, c)
             continue
@@ -243,7 +230,8 @@ def reduce(p, system, strategy="leftmost"):
 
 
 #: A monomial reducible by two rules; kind is 'overlap' or 'inclusion'.
-Ambiguity = namedtuple("Ambiguity", "kind i j witness pos_i pos_j")
+#: lhs_i starts the witness, and lhs_j starts at pos_j.
+Ambiguity = namedtuple("Ambiguity", "kind i j witness pos_j")
 
 
 def find_ambiguities(rules):
@@ -261,25 +249,25 @@ def find_ambiguities(rules):
             for k in range(1, min(len(li), len(lj))):
                 if li[len(li) - k:] == lj[:k]:
                     out.append(Ambiguity("overlap", i, j,
-                                         li + lj[k:], 0, len(li) - k))
+                                         li + lj[k:], len(li) - k))
             if i == j:
                 continue
             if len(lj) < len(li):
                 for p in range(len(li) - len(lj) + 1):
                     if li[p:p + len(lj)] == lj:
-                        out.append(Ambiguity("inclusion", i, j, li, 0, p))
+                        out.append(Ambiguity("inclusion", i, j, li, p))
             elif len(lj) == len(li) and li == lj and i < j:
-                out.append(Ambiguity("inclusion", i, j, li, 0, 0))
+                out.append(Ambiguity("inclusion", i, j, li, 0))
     out.sort(key=lambda a: (a.kind, deglex_key(a.witness), a.i, a.j))
     return out
 
 
 def resolve(amb, system):
-    """Reduce the witness along both parent rules; (resolved, residual)."""
-    rules = system.rules
-    r1 = reduce(apply_rule_at(amb.witness, rules[amb.i], amb.pos_i), system)
-    r2 = reduce(apply_rule_at(amb.witness, rules[amb.j], amb.pos_j), system)
-    residual = r1 - r2
+    """(resolved, residual), the residual being the normal form of the
+    difference of the witness's two one-step reducts."""
+    w, rules = amb.witness, system.rules
+    residual = reduce(apply_rule_at(w, rules[amb.i], 0)
+                      - apply_rule_at(w, rules[amb.j], amb.pos_j), system)
     return residual.is_zero(), residual
 
 

@@ -133,13 +133,16 @@ class Poly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
+        if self.degree() * k > _MAX_Q_EXPONENT:
+            raise ValueError(f"power of degree beyond {_MAX_Q_EXPONENT}")
         out = _P_ONE
         base = self
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:  # a square past the top bit would go unused
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -448,9 +451,10 @@ class Combination:
     """Finite combination of hashable keys with exact scalar coefficients;
     immutable and zero-free.
 
-    Subclasses set `_order`, the sort key that puts the leading term first.
-    A term on the empty key (the unit) renders as its coefficient alone,
-    unless that is 1 or -1.
+    Subclasses set `_order`, the sort key that puts the leading term first,
+    and `_times`, the product of two keys as (key, multiplicity) pairs, which
+    `*` extends bilinearly.  A term on the empty key (the unit) renders as
+    its coefficient alone, unless that is 1 or -1.
     """
 
     __slots__ = ("terms",)
@@ -471,6 +475,15 @@ class Combination:
         out = cls.__new__(cls)
         out.terms = terms
         return out
+
+    @classmethod
+    def from_word(cls, key):
+        return cls._of({key: 1})
+
+    @classmethod
+    def lift(cls, x):
+        """`x` itself when it is a `cls`, else the single key `x`."""
+        return x if isinstance(x, cls) else cls.from_word(x)
 
     def is_zero(self):
         return not self.terms
@@ -500,6 +513,17 @@ class Combination:
 
     def __neg__(self):
         return self._of({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        """The bilinear extension of `_times`; both factors of one type."""
+        if type(other) is not type(self):
+            return NotImplemented
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                for k, n in self._times(k1, k2):
+                    add_term(out, k, c1 * c2 if n == 1 else c1 * c2 * n)
+        return self._of(out)
 
     def __rmul__(self, s):
         return type(self)({k: s * c for k, c in self.terms.items()})
@@ -552,6 +576,16 @@ _MAX_DEPTH = 100
 #: Largest |k| in q^k; polynomials are dense, so q^k holds k + 1
 #: coefficients, and a few digits must not ask for gigabytes.
 _MAX_Q_EXPONENT = 10_000
+
+
+def parse_integer(m):
+    """The int of an `INTEGER` match, or ParseError at its start when it has
+    more digits than the interpreter converts."""
+    try:
+        return int(m.group())
+    except ValueError:
+        raise ParseError("integer literal has too many digits",
+                         pos=m.start()) from None
 
 
 def _arith(op, x, y):
@@ -658,7 +692,7 @@ class _Reader:
             m = INTEGER.match(text, self.i + 1)
             if not m:
                 raise self.error("expected an integer", self.i + 1)
-            self.i, k = m.end(), int(m.group())
+            self.i, k = m.end(), parse_integer(m)
             if abs(k) > _MAX_Q_EXPONENT:
                 raise self.error(f"q exponent beyond {_MAX_Q_EXPONENT}",
                                  m.start())
@@ -670,7 +704,7 @@ class _Reader:
         if not m:
             raise self.error("expected a number, q, a name or '('")
         self.i = m.end()
-        return Fraction(int(m.group())), False
+        return Fraction(parse_integer(m)), False
 
 
 def parse_expression(text, names=None):

@@ -22,7 +22,7 @@ import itertools
 import operator
 
 from .repring import alt_dim, psi_word
-from .scalars import Combination, ParseError, add_term
+from .scalars import Combination, ParseError
 
 LETTERS = "ab"
 _BAR = str.maketrans("ab", "ba")
@@ -64,10 +64,7 @@ class FusionElement(Combination):
 
     __slots__ = ()
     _order = staticmethod(lambda w: (-len(w), w))
-
-    @classmethod
-    def from_word(cls, w):
-        return cls._of({w: 1})
+    _times = staticmethod(lambda x, y: fuse(x, y).terms.items())
 
     def render(self):
         return self._render(word_str)
@@ -97,23 +94,9 @@ def fuse(x, y):
     return FusionElement._of({x[:n - k] + y[k:]: 1 for k in range(most + 1)})
 
 
-def _as_element(x):
-    if isinstance(x, FusionElement):
-        return x
-    return FusionElement.from_word(x)
-
-
 def odot(x, y):
     """Fusion product; words or FusionElements, extended bilinearly."""
-    if isinstance(x, str) and isinstance(y, str):
-        return fuse(x, y)
-    xe, ye = _as_element(x), _as_element(y)
-    out = {}
-    for wx, cx in xe.terms.items():
-        for wy, cy in ye.terms.items():
-            for w in fuse(wx, wy).terms:
-                add_term(out, w, cx * cy)
-    return FusionElement._of(out)
+    return FusionElement.lift(x) * FusionElement.lift(y)
 
 
 def _dimension_parameter(n):
@@ -132,7 +115,7 @@ def dim(x, n):
 def dim_element(fe, n):
     """Additive extension of dim to integer combinations of words."""
     n = _dimension_parameter(n)
-    return sum(c * dim(w, n) for w, c in _as_element(fe).pairs())
+    return sum(c * dim(w, n) for w, c in FusionElement.lift(fe).pairs())
 
 
 def words_up_to(max_len):

@@ -1,16 +1,28 @@
 """Shared generators for randomized exact-matrix tests, a reference
 recurrence for label dimensions, the splitting sum and the four-similarity
-isomorphism search that the closed forms replaced, and reference readers for
-scalars and rule right sides."""
+isomorphism search that the closed forms replaced, reference readers for
+scalars and rule right sides, and reducers that check the rewriting engine:
+a linear scan over every rule, and rewriting at random redexes."""
 
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from cosovereign import (ExactMatrix, FusionElement, ParseError, Poly,
                          RatFunc, bar, inverse, is_generic, similar)
-from cosovereign.rewriting import NCPolynomial
+from cosovereign.rewriting import (NCPolynomial, apply_rule_at, deglex_key,
+                                   deglex_less)
 from cosovereign.scalars import add_term
+
+
+#: The interpreter's limit on the digits `int()` converts, or 0 without one;
+#: an integer literal of `LONG_LITERAL` digits is past it.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG_LITERAL = "1" * (DIGIT_LIMIT + 1)
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="int() converts any number of digits here")
 
 
 def random_unimodular(rng, n, steps=8):
@@ -107,6 +119,74 @@ def reference_fuse(x, y):
             w = a + y[len(gb):]
             out[w] = out.get(w, 0) + 1
     return FusionElement(out)
+
+
+# ---------------------------------------------------------------------------
+# reducers that share nothing with the engine but `apply_rule_at`
+# ---------------------------------------------------------------------------
+
+
+def _scan_match_at(m, pos, rules):
+    """Best rule matching at pos: deg-lex-largest lhs, then lowest index."""
+    best = None
+    for idx, rule in enumerate(rules):
+        l = rule.lhs
+        if m[pos:pos + len(l)] == l:
+            if best is None or deglex_less(rules[best].lhs, l):
+                best = idx
+    return best
+
+
+def scan_find_redex(m, rules):
+    """(pos, rule) of the leftmost redex by a scan over every rule."""
+    for pos in range(len(m)):
+        idx = _scan_match_at(m, pos, rules)
+        if idx is not None:
+            return pos, rules[idx]
+    return None
+
+
+def scan_reduce(p, rules):
+    """`reduce` with `scan_find_redex` in place of the lhs index."""
+    work = dict(p.terms)
+    done = {}
+    while work:
+        m = max(work, key=deglex_key)
+        c = work.pop(m)
+        hit = scan_find_redex(m, rules)
+        if hit is None:
+            add_term(done, m, c)
+            continue
+        pos, rule = hit
+        a, b = m[:pos], m[pos + len(rule.lhs):]
+        for t, cc in rule.rhs.terms.items():
+            add_term(work, a + t + b, c * cc)
+    return NCPolynomial(done)
+
+
+def reference_resolve(amb, rules):
+    """The residual as two normal forms, one per one-step reduct of the
+    witness, reduced separately by `scan_reduce` and then subtracted."""
+    w = amb.witness
+    return (scan_reduce(apply_rule_at(w, rules[amb.i], 0), rules)
+            - scan_reduce(apply_rule_at(w, rules[amb.j], amb.pos_j), rules))
+
+
+def random_reduce(p, rules, rng):
+    """A normal form of `p` reached by rewriting, step by step, a redex drawn
+    by `rng` among all redexes of all monomials: any position, and any rule
+    whose lhs matches there, rules with equal lhs counted apart."""
+    terms = dict(p.terms)
+    while True:
+        redexes = [(m, pos, rule) for m in terms for rule in rules
+                   for pos in range(len(m) - len(rule.lhs) + 1)
+                   if m[pos:pos + len(rule.lhs)] == rule.lhs]
+        if not redexes:
+            return NCPolynomial(terms)
+        m, pos, rule = rng.choice(redexes)
+        c = terms.pop(m)
+        for t, cc in apply_rule_at(m, rule, pos).terms.items():
+            add_term(terms, t, c * cc)
 
 
 def negated(m):

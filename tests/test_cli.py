@@ -7,7 +7,8 @@ import pytest
 
 from cosovereign import format_matrix, inverse, matrix_fq, ExactMatrix
 from cosovereign.cli import main, parse_table_payload
-from _helpers import generic_integer_matrix, prefix_dim, random_unimodular
+from _helpers import (LONG_LITERAL, generic_integer_matrix, needs_digit_limit,
+                      prefix_dim, random_unimodular)
 import random
 
 
@@ -217,6 +218,17 @@ def test_iso(tmp_path, capsys):
     fpath.write_text("2 2\n1 0\n0 2\n")
     code, _, err = run(capsys, "iso", "--E", str(epath), "--F", str(fpath))
     assert code == 2 and "generic" in err
+
+
+@needs_digit_limit
+def test_overlong_literal_is_a_usage_error(tmp_path, capsys):
+    epath, fpath = tmp_path / "e.mat", tmp_path / "f.mat"
+    epath.write_text("2 2\n1/2 0\n0 2\n")
+    fpath.write_text(f"2 2\n1 0\n0 {LONG_LITERAL}/3\n")
+    code, out, err = run(capsys, "iso", "--E", str(epath), "--F", str(fpath))
+    assert code == 2 and out == ""
+    assert err.endswith("integer literal has too many digits "
+                        "(line 3, column 3)\n")
 
 
 def test_verify_pi(capsys):

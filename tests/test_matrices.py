@@ -12,8 +12,9 @@ from cosovereign import (ExactMatrix, NonSquareError, ParseError,
                          invariant_factors, inverse, is_generic,
                          is_normalizable, is_normalized, matrix_fq,
                          Poly, parse_matrix, similar, trace, q)
-from _helpers import companion, generic_integer_matrix, negated, \
-    normalized_2x2, random_unimodular, reference_iso_witness
+from _helpers import LONG_LITERAL, companion, generic_integer_matrix, \
+    needs_digit_limit, negated, normalized_2x2, random_unimodular, \
+    reference_iso_witness
 
 
 def test_trace_examples():
@@ -285,6 +286,18 @@ def test_matrix_header_needs_ascii_integers(header):
     with pytest.raises(ParseError, match="header") as exc:
         parse_matrix(f"# size\n{header}\n1 0\n0 1\n")
     assert (exc.value.line, exc.value.col) == (2, 1)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("text, line, col", [
+    (f"2 2\n1 0\n0 -{LONG_LITERAL}\n", 3, 4),
+    (f"2 2\n1 0\n0 q^{LONG_LITERAL}\n", 3, 5),
+    (f"# size\n 2 {LONG_LITERAL}\n1 0\n0 1\n", 2, 4),
+    (f"{LONG_LITERAL} 2\n1 0\n0 1\n", 1, 1)])
+def test_matrix_overlong_literals_are_parse_errors(text, line, col):
+    with pytest.raises(ParseError, match="too many digits") as exc:
+        parse_matrix(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
 
 
 def test_matrix_entry_nesting_is_bounded():

@@ -151,6 +151,7 @@ def test_multiply_associativity_random():
         v = RepElement({_random_alt_word(rng): 1})
         w = RepElement({_random_alt_word(rng): rng.choice((1, -2))})
         assert multiply(multiply(u, v), w) == multiply(u, multiply(v, w))
+        assert (u + w) * v == multiply(u + w, v) == u * v + w * v
 
 
 def test_psi_examples():

@@ -1,19 +1,21 @@
+import itertools
 import random
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from cosovereign import (Alphabet, EnumerationBound, FusionElement,
                          NCPolynomial, ParseError, RepElement, RewriteSystem,
-                         Rule, RuleOrderError, apply_rule_at, confluent,
-                         find_ambiguities, is_free_family, parse_presentation,
-                         reduce, reduced_monomials, resolve, q)
-from cosovereign.rewriting import (AmbiguityResult, _find_redex, deglex_key,
-                                   deglex_less)
-from cosovereign.scalars import add_term
-from _helpers import reference_parse_rhs, rhs_texts
+                         Rule, RuleOrderError, apply_rule_at, build_hq,
+                         build_slq2, confluent, find_ambiguities,
+                         is_free_family, parse_presentation, reduce,
+                         reduced_monomials, resolve, q)
+from cosovereign.rewriting import AmbiguityResult, _find_redex, deglex_less
+from _helpers import (LONG_LITERAL, needs_digit_limit, random_reduce,
+                      reference_parse_rhs, reference_resolve, rhs_texts,
+                      scan_find_redex, scan_reduce)
 
 
 def mono(alphabet, text):
@@ -61,7 +63,7 @@ def test_records_keep_fields_repr_and_immutability(ab):
     assert rule == twin and hash(rule) == hash(twin)
     amb = find_ambiguities([rule, Rule((1, 0), NCPolynomial())])[0]
     assert repr(amb) == ("Ambiguity(kind='overlap', i=0, j=1, "
-                         "witness=(0, 1, 0), pos_i=0, pos_j=1)")
+                         "witness=(0, 1, 0), pos_j=1)")
     result = AmbiguityResult(amb, True, NCPolynomial())
     assert repr(result).startswith("AmbiguityResult(ambiguity=Ambiguity(")
     for record, field in ((rule, "lhs"), (amb, "witness"),
@@ -146,28 +148,8 @@ def test_apply_rule_at(ab):
         apply_rule_at(mono(ab, "b.a.b.a"), rule, 0)
 
 
-def _slq2_rules():
-    from cosovereign import build_slq2
-    return build_slq2(q)
-
-
-def test_strategy_independence_on_confluent_system():
-    spec = _slq2_rules()
-    rng = random.Random(9)
-    letters = range(4)
-    for _ in range(100):
-        terms = {}
-        for _ in range(rng.randrange(1, 4)):
-            w = tuple(rng.choice(letters) for _ in range(rng.randrange(6)))
-            terms[w] = terms.get(w, 0) + Fraction(rng.randrange(-3, 4))
-        p = NCPolynomial(terms)
-        left = reduce(p, spec, strategy="leftmost")
-        right = reduce(p, spec, strategy="rightmost")
-        assert left == right
-
-
 def test_reduce_linearity():
-    spec = _slq2_rules()
+    spec = build_slq2(q)
     rng = random.Random(29)
     for _ in range(30):
         def rand_poly():
@@ -176,8 +158,8 @@ def test_reduce_linearity():
                 Fraction(rng.randrange(-3, 4)) for _ in range(3)})
         p, r = rand_poly(), rand_poly()
         c = Fraction(rng.randrange(-3, 4))
-        lhs = reduce(p + r.scaled(c), spec)
-        rhs = reduce(p, spec) + reduce(r, spec).scaled(c)
+        lhs = reduce(p + c * r, spec)
+        rhs = reduce(p, spec) + c * reduce(r, spec)
         assert lhs == rhs
 
 
@@ -301,6 +283,14 @@ def test_parse_presentation_rejects_floats_and_deep_nesting(rhs, message):
     assert exc.value.line == 5
 
 
+@needs_digit_limit
+@pytest.mark.parametrize("rhs", [f"{LONG_LITERAL}*a", f"a - q^{LONG_LITERAL}"])
+def test_overlong_literal_in_a_right_side_is_a_parse_error(rhs):
+    with pytest.raises(ParseError, match="too many digits") as exc:
+        parse_presentation(f"generators:\na\nb\nrules:\nb.a -> {rhs}\n")
+    assert (exc.value.line, exc.value.col) == (5, 8 + rhs.index(LONG_LITERAL))
+
+
 _GENERATORS = ["b", "a", "qa", "x1", "c^2"]
 
 
@@ -333,44 +323,7 @@ def test_ncpolynomial_rejects_floats():
         assert not half.is_zero() and half.coefficient(key) == Fraction(1, 2)
 
 
-# -- the indexed matcher against a linear scan over every rule --------------
-
-
-def _scan_match_at(m, pos, rules):
-    """Best rule matching at pos: deg-lex-largest lhs, then lowest index."""
-    best = None
-    for idx, rule in enumerate(rules):
-        l = rule.lhs
-        if m[pos:pos + len(l)] == l:
-            if best is None or deglex_less(rules[best].lhs, l):
-                best = idx
-    return best
-
-
-def _scan_find_redex(m, rules, strategy):
-    positions = range(len(m)) if strategy == "leftmost" else range(len(m) - 1, -1, -1)
-    for pos in positions:
-        idx = _scan_match_at(m, pos, rules)
-        if idx is not None:
-            return pos, rules[idx]
-    return None
-
-
-def _scan_reduce(p, rules, strategy):
-    work = dict(p.terms)
-    done = {}
-    while work:
-        m = max(work, key=deglex_key)
-        c = work.pop(m)
-        hit = _scan_find_redex(m, rules, strategy)
-        if hit is None:
-            add_term(done, m, c)
-            continue
-        pos, rule = hit
-        a, b = m[:pos], m[pos + len(rule.lhs):]
-        for t, cc in rule.rhs.terms.items():
-            add_term(work, a + t + b, c * cc)
-    return NCPolynomial(done)
+# -- the engine against reducers written apart from it ----------------------
 
 
 _LETTERS = 3
@@ -404,15 +357,65 @@ def _rule_systems(draw):
 
 @seed(1978)
 @settings(max_examples=150, deadline=None, database=None)
-@given(_rule_systems(), st.lists(_words, min_size=1, max_size=6),
-       st.sampled_from(["leftmost", "rightmost"]))
-def test_indexed_redex_matches_linear_scan(rules, words, strategy):
+@given(_rule_systems(), st.lists(_words, min_size=1, max_size=6))
+def test_indexed_redex_matches_linear_scan(rules, words):
     system = RewriteSystem(Alphabet(("a", "b", "c")), rules)
     for m in words:
-        assert _find_redex(m, system, strategy) == \
-            _scan_find_redex(m, rules, strategy)
+        assert _find_redex(m, system) == scan_find_redex(m, rules)
     p = NCPolynomial({m: Fraction(i + 1) for i, m in enumerate(words)})
-    assert reduce(p, system, strategy) == _scan_reduce(p, rules, strategy)
+    assert reduce(p, system) == scan_reduce(p, rules)
+
+
+def _words_up_to(letters, max_len):
+    return [m for n in range(max_len + 1)
+            for m in itertools.product(range(letters), repeat=n)]
+
+
+def _check_against_oracles(system, words):
+    """Whether the system is confluent, after checking every residual
+    against two normal forms reduced apart and then subtracted, and, when
+    it is confluent, `reduce` on each of `words` against three runs at
+    random redexes.  A missed ambiguity shows as a confluent verdict with
+    normal forms that depend on the redex order."""
+    alphabet, rules = system.alphabet, system.rules
+    for amb in find_ambiguities(rules):
+        ok, residual = resolve(amb, system)
+        expected = reference_resolve(amb, rules)
+        assert ok == expected.is_zero()
+        assert residual == expected
+        assert residual.render(alphabet) == expected.render(alphabet)
+    if not confluent(system).ok:
+        return False
+    rng = random.Random(1978)
+    for m in words:
+        p = NCPolynomial.monomial(m)
+        normal_form = reduce(p, system)
+        for _ in range(3):
+            assert random_reduce(p, rules, rng) == normal_form
+    return True
+
+
+@seed(1978)
+@settings(max_examples=400, deadline=None, database=None)
+@given(_rule_systems())
+# one rule each, whose only ambiguities are self-overlaps, and these fail:
+# a.a.a and a.b.b.a.b.b.a have two normal forms
+@example([Rule((0, 0), NCPolynomial({(2,): Fraction(1)}))])
+@example([Rule((0, 1, 1, 0), NCPolynomial({(): Fraction(-2)}))])
+def test_resolve_and_reduce_match_oracles(rules):
+    # an ambiguity's witness is an lhs followed by at most 3 more letters
+    words = set(_words_up_to(_LETTERS, 4))
+    words.update(r.lhs + w for r in rules for w in _words_up_to(_LETTERS, 3))
+    _check_against_oracles(RewriteSystem(Alphabet(("a", "b", "c")), rules),
+                           sorted(words))
+
+
+@pytest.mark.parametrize("build", [lambda: build_slq2(Fraction(3, 2)),
+                                   lambda: build_hq(2)],
+                         ids=["slq2(3/2)", "hq(2)"])
+def test_presets_match_oracles(build):
+    system = build()
+    assert _check_against_oracles(system, _words_up_to(len(system.alphabet), 4))
 
 
 def test_compiled_system_is_accepted_everywhere(ab):

@@ -5,9 +5,11 @@ import sympy
 from hypothesis import given, seed, settings, strategies as st
 
 from cosovereign import (FusionElement, NCPolynomial, ParseError, Poly,
-                         RatFunc, RepElement, format_scalar, parse_scalar, q)
-from cosovereign.scalars import as_ratfunc
-from _helpers import reference_parse_scalar, scalar_texts
+                         RatFunc, RepElement, format_scalar, multiply,
+                         parse_scalar, q)
+from cosovereign.scalars import _q_power, as_ratfunc
+from _helpers import (LONG_LITERAL, needs_digit_limit, reference_fuse,
+                      reference_parse_scalar, scalar_texts)
 
 
 def test_parse_rationals():
@@ -78,6 +80,35 @@ def test_parse_scalar_bounds_q_exponents(text):
         parse_scalar(text)
     assert exc.value.pos == text.index("^") + 1
     assert parse_scalar("q^10000") * parse_scalar("q^-10000") == 1
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("prefix, pos", [
+    ("", 0), ("-", 1), ("2*q^", 4), ("q^-", 2), ("3/", 2), ("(1 + ", 5)])
+def test_parse_scalar_reports_overlong_literals(prefix, pos):
+    # int() refuses them with a ValueError that names no position; a q
+    # exponent's sign belongs to its literal
+    with pytest.raises(ParseError, match="too many digits") as exc:
+        parse_scalar(prefix + LONG_LITERAL + ")" * prefix.count("("))
+    assert exc.value.pos == pos
+
+
+@pytest.mark.parametrize("power", [lambda: q ** 10_001, lambda: q ** -10_001,
+                                   lambda: (1 + q ** 2) ** 5_001,
+                                   lambda: Poly([1, 1]) ** 10_001],
+                         ids=["q^10001", "q^-10001", "(1+q^2)^5001",
+                              "Poly(1+q)^10001"])
+def test_powers_are_bounded_like_the_reader(power):
+    # powers are dense, so the degree is bounded before any multiplying
+    with pytest.raises(ValueError, match="degree beyond 10000"):
+        power()
+
+
+def test_powers_at_the_bound():
+    assert q ** 10_000 == RatFunc(_q_power(10_000))
+    assert q ** -10_000 == RatFunc(Poly([1]), _q_power(10_000))
+    assert (1 + q) ** 3 == 1 + 3 * q + 3 * q ** 2 + q ** 3
+    assert Poly([2]) ** 20_000 == Poly([2 ** 20_000])
 
 
 def test_render_round_trip():
@@ -316,6 +347,12 @@ _KEYS = {
     RepElement: [(), (("Z", 1),), (("V", 1),), (("Z", 1), ("V", 2))],
     NCPolynomial: [(), (0,), (1,), (0, 1), (1, 0)],
 }
+#: the product of two keys as (key, multiplicity) pairs, by other code
+_TIMES = {
+    FusionElement: lambda x, y: reference_fuse(x, y).terms.items(),
+    RepElement: lambda x, y: multiply(x, y).terms.items(),
+    NCPolynomial: lambda x, y: [(x + y, 1)],
+}
 _COEFFS = {
     FusionElement: st.integers(-3, 3),
     RepElement: st.integers(-3, 3),
@@ -341,6 +378,11 @@ def test_combination_arithmetic_matches_dict_reference(cls, data):
         assert got.terms == _dict_sum(ref)
         assert all(c != 0 for c in got.terms.values())
         assert len(got) == len(got.terms)
+    product = a * b
+    assert type(product) is cls
+    assert product.terms == _dict_sum(
+        [(k, ca * cb * n) for ka, ca in pa for kb, cb in pb
+         for k, n in _TIMES[cls](ka, kb)])
     assert (a == b) is (_dict_sum(pa) == _dict_sum(pb))
     assert a + b == b + a and hash(a + b) == hash(b + a)
     shuffled = cls(reversed(pa))
@@ -350,6 +392,15 @@ def test_combination_arithmetic_matches_dict_reference(cls, data):
         # constant RatFuncs equal, and hash like, the Fractions they lift
         lifted = cls([(k, as_ratfunc(c)) for k, c in pa])
         assert lifted == a and hash(lifted) == hash(a)
+
+
+def test_product_needs_one_combination_type():
+    f = FusionElement({"ab": 1})
+    with pytest.raises(TypeError):
+        NCPolynomial({(0,): 1}) * f
+    with pytest.raises(TypeError):
+        f * 2
+    assert 2 * f == FusionElement({"ab": 2})
 
 
 def test_combination_equality_is_per_type():

@@ -47,6 +47,18 @@ def test_odot_examples():
     assert odot("b", "a") == fe("ba", "")
 
 
+def test_odot_is_bilinear():
+    x = 2 * fe("ab") - fe("ba")
+    y = fe("a") + 3 * fe("")
+    expected = FusionElement()
+    for wx, cx in x.terms.items():
+        for wy, cy in y.terms.items():
+            expected = expected + (cx * cy) * reference_fuse(wx, wy)
+    assert odot(x, y) == expected
+    assert expected.render() == "2*aba - baa + 6*ab - 3*ba + 2*a"
+    assert x * y == odot(x, y) and odot("ab", y) == fe("ab") * y
+
+
 def test_fuse_golden_values():
     assert fuse("a", "b") == fe("ab", "")
     assert fuse("ab", "") == fe("ab")
