@@ -2,9 +2,12 @@
 
 Two coefficient fields are supported.  Rational-mode scalars are plain
 ``fractions.Fraction`` values.  q-mode scalars are ``RatFunc`` values, reduced
-quotients of polynomials in the indeterminate q.  The canonical form of a
-``RatFunc`` has a monic denominator and coprime numerator/denominator, so
-structural equality coincides with mathematical equality; zero is always 0/1.
+quotients of polynomials in the indeterminate q, stored as
+``q**val * top/bot``: ``top`` and ``bot`` are coprime, neither is divisible by
+q, and ``bot`` is monic.  This form is canonical, so structural equality
+coincides with mathematical equality; zero is 0/1 with ``val`` 0, and a
+Laurent polynomial is exactly the case ``bot == 1``.  Powers of q only add to
+``val``, so they cost no dense polynomial arithmetic.
 
 The two kinds mix in arithmetic (ints and Fractions are promoted to constant
 rational functions), which keeps matrix and rewriting code agnostic of the
@@ -98,6 +101,11 @@ class Poly:
         xs, ys = self.coeffs, other.coeffs
         if not xs or not ys:
             return _P_ZERO
+        # Laurent scalars have the denominator 1, so this is the common case
+        if len(xs) == 1 and xs[0] == 1:
+            return other
+        if len(ys) == 1 and ys[0] == 1:
+            return self
         out = [_F_ZERO] * (len(xs) + len(ys) - 1)
         ys = [(j, b) for j, b in enumerate(ys) if b]
         for i, a in enumerate(xs):
@@ -175,29 +183,27 @@ def _poly(coeffs):
 
 
 _F_ZERO = Fraction(0)
-_F_ONE = Fraction(1)
 _P_ZERO = Poly()
 _P_ONE = Poly([1])
-_P_Q = Poly([0, 1])
 
 
-def _q_power(k):
-    """q**k, k >= 0."""
-    return _poly((_F_ZERO,) * k + (_F_ONE,)) if k else _P_ONE
-
-
-def _q_exponent(p):
-    """k when the monic p is q**k, else None."""
+def _unit_part(p):
+    """(k, p / q**k) for the largest k with q**k dividing the nonzero p."""
     cs = p.coeffs
-    return None if any(cs[:-1]) else len(cs) - 1
+    k = 0
+    while not cs[k]:
+        k += 1
+    return k, (_poly(cs[k:]) if k else p)
 
 
 class RatFunc:
-    """Reduced quotient of two ``Poly`` values; the denominator is monic."""
+    """``q**val * top/bot``: ``top`` and ``bot`` are coprime ``Poly`` values
+    with nonzero constant terms, ``bot`` is monic, and zero is 0/1 with
+    ``val`` 0.  ``RatFunc(num, den, val)`` is ``q**val * num/den``."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("val", "top", "bot")
 
-    def __init__(self, num, den=_P_ONE):
+    def __init__(self, num, den=_P_ONE, val=0):
         if not isinstance(num, Poly):
             num = Poly([num])
         if not isinstance(den, Poly):
@@ -205,33 +211,29 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            self.num, self.den = _P_ZERO, _P_ONE
+            self.val, self.top, self.bot = 0, _P_ZERO, _P_ONE
             return
-        dc = den.coeffs
-        if not any(dc[:-1]):
-            # den = lc*q^k, so gcd(num, den) = q^min(val(num), k)
-            k = len(dc) - 1
-            nc = num.coeffs
-            s = 0
-            while s < k and not nc[s]:
-                s += 1
-            lc = dc[-1]
-            if lc != 1:
-                nc = tuple(c / lc for c in nc)
-            elif not s:
-                self.num, self.den = num, den
-                return
-            self.num = _poly(nc[s:])
-            self.den = _q_power(k - s)
-            return
-        g = Poly.gcd(num, den)
-        if g.degree() > 0:
-            num, den = num // g, den // g
-        lc = den.leading()
+        i, top = _unit_part(num)
+        j, bot = _unit_part(den)
+        if bot.degree() > 0:
+            g = Poly.gcd(top, bot)
+            if g.degree() > 0:
+                top, bot = top // g, bot // g
+        lc = bot.leading()
         if lc != 1:
-            num = num * (1 / lc)
-            den = den * (1 / lc)
-        self.num, self.den = num, den
+            top = top * (1 / lc)
+            bot = bot * (1 / lc)
+        self.val, self.top, self.bot = val + i - j, top, bot
+
+    @property
+    def num(self):
+        """Numerator of the reduced quotient, q-factors included."""
+        return self.top.shift(self.val) if self.val > 0 else self.top
+
+    @property
+    def den(self):
+        """Monic denominator of the reduced quotient, q-factors included."""
+        return self.bot.shift(-self.val) if self.val < 0 else self.bot
 
     # -- coercion -----------------------------------------------------------
 
@@ -244,15 +246,15 @@ class RatFunc:
         return None
 
     def is_zero(self):
-        return self.num.is_zero()
+        return self.top.is_zero()
 
     def is_constant(self):
-        return self.den == _P_ONE and self.num.degree() <= 0
+        return not self.val and self.bot == _P_ONE and self.top.degree() <= 0
 
     def as_fraction(self):
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant rational function")
-        return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
+        return self.top.coeffs[0] if self.top.coeffs else Fraction(0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -261,15 +263,11 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ks, ko = _q_exponent(self.den), _q_exponent(o.den)
-        if ks is None or ko is None:
-            a, b, den = self.num * o.den, o.num * self.den, self.den * o.den
-        elif ks >= ko:
-            # q^k denominators: shift the numerators onto the larger one
-            a, b, den = self.num, o.num.shift(ks - ko), self.den
-        else:
-            a, b, den = self.num.shift(ko - ks), o.num, o.den
-        return RatFunc(a + b if sign > 0 else a - b, den)
+        # bring both tops onto the smaller power of q
+        val = min(self.val, o.val)
+        a = self.top.shift(self.val - val) * o.bot
+        b = o.top.shift(o.val - val) * self.bot
+        return RatFunc(a + b if sign > 0 else a - b, self.bot * o.bot, val)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -286,18 +284,13 @@ class RatFunc:
         return o - self
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc(-self.top, self.bot, self.val)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ks, ko = _q_exponent(self.den), _q_exponent(o.den)
-        if ks is None or ko is None:
-            den = self.den * o.den
-        else:
-            den = _q_power(ks + ko)
-        return RatFunc(self.num * o.num, den)
+        return RatFunc(self.top * o.top, self.bot * o.bot, self.val + o.val)
 
     __rmul__ = __mul__
 
@@ -307,7 +300,7 @@ class RatFunc:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero scalar")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return RatFunc(self.top * o.bot, self.bot * o.top, self.val - o.val)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -321,26 +314,30 @@ class RatFunc:
         if k < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self.den, self.num) ** (-k)
-        return RatFunc(self.num ** k, self.den ** k)
+            return RatFunc(self.bot, self.top, -self.val) ** (-k)
+        if abs(self.val) * k > _MAX_Q_EXPONENT:
+            raise ValueError(f"power of degree beyond {_MAX_Q_EXPONENT}")
+        return RatFunc(self.top ** k, self.bot ** k, self.val * k)
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):
-            return (self.num.coeffs == other.num.coeffs
-                    and self.den.coeffs == other.den.coeffs)
+            return (self.val == other.val
+                    and self.top.coeffs == other.top.coeffs
+                    and self.bot.coeffs == other.bot.coeffs)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         # the canonical form of a constant c is c/1, and of zero 0/1
-        nc = self.num.coeffs
+        tc = self.top.coeffs
         if not other:
-            return not nc
-        return len(self.den.coeffs) == 1 and len(nc) == 1 and nc[0] == other
+            return not tc
+        return (not self.val and len(self.bot.coeffs) == 1 and len(tc) == 1
+                and tc[0] == other)
 
     def __hash__(self):
         # constants hash like the Fraction they equal
         if self.is_constant():
             return hash(self.as_fraction())
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.val, self.top.coeffs, self.bot.coeffs))
 
     def __bool__(self):
         return not self.is_zero()
@@ -353,14 +350,7 @@ class RatFunc:
 
 
 #: The indeterminate, as a scalar.
-q = RatFunc(_P_Q)
-
-
-def as_ratfunc(s):
-    out = RatFunc._coerce(s)
-    if out is None:
-        raise TypeError(f"cannot promote {s!r} to a rational function")
-    return out
+q = RatFunc(_P_ONE, _P_ONE, 1)
 
 
 def scalar_sign(s):
@@ -368,8 +358,7 @@ def scalar_sign(s):
     if isinstance(s, RatFunc):
         if s.is_zero():
             return 0
-        lc = s.num.leading()
-        return 1 if lc > 0 else -1
+        return 1 if s.top.leading() > 0 else -1
     return (s > 0) - (s < 0)
 
 
@@ -406,9 +395,8 @@ def format_scalar(s, compact=False):
         return str(s)
     if s.is_zero():
         return "0"
-    m = _q_exponent(s.den)
-    if m is not None:
-        return _laurent_str(_laurent_terms(s.num, -m), compact)
+    if s.bot == _P_ONE:
+        return _laurent_str(_laurent_terms(s.top, s.val), compact)
     num = _laurent_str(_laurent_terms(s.num, 0), compact)
     den = _laurent_str(_laurent_terms(s.den, 0), compact)
     return f"({num})/({den})"
@@ -588,17 +576,6 @@ def parse_integer(m):
                          pos=m.start()) from None
 
 
-def _arith(op, x, y):
-    """x op y, op one of '+', '-', '*'.  A scalar that meets a Combination
-    is first lifted onto its unit key ()."""
-    if isinstance(x, Combination) != isinstance(y, Combination):
-        if isinstance(x, Combination):
-            y = x._of({(): y} if y else {})
-        else:
-            x = y._of({(): x} if x else {})
-    return x + y if op == "+" else x - y if op == "-" else x * y
-
-
 class _Reader:
     """Recursive-descent evaluator of the expression grammar
 
@@ -629,6 +606,25 @@ class _Reader:
         if self.depth > _MAX_DEPTH:
             raise self.error(f"nested deeper than {_MAX_DEPTH} levels")
 
+    def arith(self, op, x, y, at):
+        """x op y, op one of '+', '-', '*' at position `at`.  A scalar that
+        meets a Combination is first lifted onto its unit key ().  Every
+        binary operator comes here, so this bounds the degrees of the
+        reduced numerators and denominators, which are dense."""
+        if isinstance(x, Combination) != isinstance(y, Combination):
+            if isinstance(x, Combination):
+                y = x._of({(): y} if y else {})
+            else:
+                x = y._of({(): x} if x else {})
+        value = x + y if op == "+" else x - y if op == "-" else x * y
+        for c in (value.terms.values() if isinstance(value, Combination)
+                  else (value,)):
+            if isinstance(c, RatFunc) and max(
+                    c.top.degree() + max(c.val, 0),
+                    c.bot.degree() + max(-c.val, 0)) > _MAX_Q_EXPONENT:
+                raise self.error(f"q degree beyond {_MAX_Q_EXPONENT}", at)
+        return value
+
     def sum(self):
         value = self.product()
         while (op := self.peek()) in ("+", "-"):
@@ -636,7 +632,7 @@ class _Reader:
             self.i += 1
             if self.peek() in ("", ")"):
                 raise self.error(f"empty term after {op!r}", at)
-            value = _arith(op, value, self.product())
+            value = self.arith(op, value, self.product(), at)
         return value
 
     def product(self):
@@ -655,7 +651,7 @@ class _Reader:
                 if not rhs:
                     raise self.error("zero denominator")
                 rhs = 1 / rhs
-            value, named = _arith("*", value, rhs), rhs_named
+            value, named = self.arith("*", value, rhs, at), rhs_named
         return value
 
     def factor(self, start):
@@ -696,9 +692,7 @@ class _Reader:
             if abs(k) > _MAX_Q_EXPONENT:
                 raise self.error(f"q exponent beyond {_MAX_Q_EXPONENT}",
                                  m.start())
-            if k < 0:
-                return RatFunc(_P_ONE, _q_power(-k)), False
-            return RatFunc(_q_power(k)), False
+            return RatFunc(_P_ONE, _P_ONE, k), False
         # no sign here, so INTEGER matches bare digits
         m = INTEGER.match(text, at)
         if not m:

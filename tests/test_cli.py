@@ -182,6 +182,12 @@ def test_zero_q_is_a_usage_error(capsys, argv):
     assert run(capsys, *argv) == (2, "", "error: q must be nonzero\n")
 
 
+def test_q_degree_is_a_usage_error(capsys):
+    # each literal is in bounds; their product is not
+    assert run(capsys, "check", "hq", "--q", "q^10000*q^10000") == (
+        2, "", "error: q degree beyond 10000 (position 7)\n")
+
+
 def test_negative_max_len_is_a_usage_error(capsys):
     for argv in (["table"], ["basis", "hq"],
                  ["free-check", "hq", "--letters", "a"]):
@@ -238,6 +244,94 @@ def test_verify_pi(capsys):
     assert code == 0
     data = json.loads(blob)
     assert data["ok"] is True and len(data["checks"]) == 16
+
+
+# General-denominator scalars: the benchmark's goldens only use c*q^k
+# entries, so these pin the quotient path of the scalar layer.
+
+GENERAL_DENOMINATOR_PRESENTATION = (
+    "generators:\na\nb\nrules:\n"
+    "b.a -> (q^2+1)/(q^2+q)*a.b + q^-2*a\n"
+    "a.a -> (q-1)/(2*q^3+q)*b\n")
+
+
+def test_general_denominator_file_golden(tmp_path, capsys):
+    path = tmp_path / "gd.pres"
+    path.write_text(GENERAL_DENOMINATOR_PRESENTATION)
+    code, out, _ = run(capsys, "check", "file", "--file", str(path))
+    assert code == 1
+    assert out == (
+        f"presentation: file ({path})\n"
+        "seed: 0\n"
+        "overlap   rules ( 1, 1) witness a.a.a                          "
+        "FAIL residual -(1/2*q^2-q+1/2)/(q^5+q^4+1/2*q^3+1/2*q^2)*a.b"
+        " + (1/2*q-1/2)/(q^5+1/2*q^3)*a\n"
+        "overlap   rules ( 0, 1) witness b.a.a                          "
+        "FAIL residual -(q^4-3/2*q^3+1/2*q^2-1/2*q+1/2)"
+        "/(q^7+2*q^6+3/2*q^5+q^4+1/2*q^3)*b.b"
+        " + (q^3-1/2*q^2-1/2)/(q^7+q^6+1/2*q^5+1/2*q^4)*b\n"
+        "2 ambiguities (0 inclusion, 2 overlap); confluent: False\n")
+
+
+VERIFY_PI_GENERAL_RELATIONS = [
+    "b.bs -> -a.as + 1",
+    "b.ds -> -a.cs",
+    "d.bs -> -c.as",
+    "d.ds -> -c.cs + 1",
+    "as.a -> -(q^4+2*q^2+1)/(q^2-4*q+4)*bs.b + 1",
+    "as.c -> -(q^4+2*q^2+1)/(q^2-4*q+4)*bs.d",
+    "cs.a -> -(q^4+2*q^2+1)/(q^2-4*q+4)*ds.b",
+    "cs.c -> -(q^4+2*q^2+1)/(q^2-4*q+4)*ds.d + (q^4+2*q^2+1)/(q^2-4*q+4)",
+    "as.a -> -cs.c + 1",
+    "as.b -> -cs.d",
+    "bs.a -> -ds.c",
+    "bs.b -> -ds.d + 1",
+    "c.cs -> -(q^4+2*q^2+1)/(q^2-4*q+4)*a.as + (q^4+2*q^2+1)/(q^2-4*q+4)",
+    "c.ds -> -(q^4+2*q^2+1)/(q^2-4*q+4)*a.bs",
+    "d.cs -> -(q^4+2*q^2+1)/(q^2-4*q+4)*b.as",
+    "d.ds -> -(q^4+2*q^2+1)/(q^2-4*q+4)*b.bs + 1",
+]
+
+
+def test_general_denominator_verify_pi_golden(capsys):
+    code, out, _ = run(capsys, "verify-pi", "--q", "(q^2+1)/(q-2)",
+                       "--format", "json")
+    assert code == 0
+    checks = [{"relation": r, "ok": True, "residual": "0"}
+              for r in VERIFY_PI_GENERAL_RELATIONS]
+    assert out == json.dumps({"q": "(q^2+1)/(q-2)", "seed": 0, "ok": True,
+                              "checks": checks}, indent=2) + "\n"
+
+
+CHECK_HQ_GENERAL_LINES = [
+    "presentation: hq (q = (q^2+1)/(q+1))",
+    "seed: 0",
+    "inclusion rules ( 4, 8) witness as.a                           ok",
+    "inclusion rules ( 3,15) witness d.ds                           ok",
+    "overlap   rules ( 7,13) witness cs.c.ds                        ok",
+    "overlap   rules ( 7,12) witness cs.c.cs                        ok",
+    "overlap   rules (11, 1) witness bs.b.ds                        ok",
+    "overlap   rules (11, 0) witness bs.b.bs                        ok",
+    "overlap   rules ( 9, 1) witness as.b.ds                        ok",
+    "overlap   rules ( 9, 0) witness as.b.bs                        ok",
+    "overlap   rules ( 5,13) witness as.c.ds                        ok",
+    "overlap   rules ( 5,12) witness as.c.cs                        ok",
+    "overlap   rules ( 0,10) witness b.bs.a                         ok",
+    "overlap   rules ( 0,11) witness b.bs.b                         ok",
+    "overlap   rules (12, 6) witness c.cs.a                         ok",
+    "overlap   rules (12, 7) witness c.cs.c                         ok",
+    "overlap   rules (14, 6) witness d.cs.a                         ok",
+    "overlap   rules (14, 7) witness d.cs.c                         ok",
+    "overlap   rules ( 2,10) witness d.bs.a                         ok",
+    "overlap   rules ( 2,11) witness d.bs.b                         ok",
+    "18 ambiguities (2 inclusion, 16 overlap); confluent: True",
+]
+
+
+def test_general_denominator_check_hq_golden(capsys):
+    code, out, _ = run(capsys, "check", "hq", "--q", "(q^2+1)/(q+1)")
+    assert code == 0
+    assert out == "".join(line + "\n" for line in CHECK_HQ_GENERAL_LINES)
 
 
 def test_aaut_relations(tmp_path, capsys):

@@ -275,8 +275,9 @@ def test_parse_presentation_reads_q_powers_and_empty_sides():
 @pytest.mark.parametrize("rhs, message", [
     ("0.5", "'.' joins"), ("1.5*a", "'.' joins"), ("2.a", "'.' joins"),
     ("a.2", "'.' joins"), ("(" * 1000 + "a" + ")" * 1000, "nested deeper"),
-    ("-" * 1000 + "a", "nested deeper")],
-    ids=["0.5", "1.5*a", "2.a", "a.2", "parentheses", "signs"])
+    ("-" * 1000 + "a", "nested deeper"),
+    ("a*q^10000*q^10000", "q degree beyond 10000")],
+    ids=["0.5", "1.5*a", "2.a", "a.2", "parentheses", "signs", "q-degree"])
 def test_parse_presentation_rejects_floats_and_deep_nesting(rhs, message):
     with pytest.raises(ParseError, match=message) as exc:
         parse_presentation(f"generators:\na\nb\nrules:\nb.a -> {rhs}\n")

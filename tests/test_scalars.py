@@ -7,7 +7,6 @@ from hypothesis import given, seed, settings, strategies as st
 from cosovereign import (FusionElement, NCPolynomial, ParseError, Poly,
                          RatFunc, RepElement, format_scalar, multiply,
                          parse_scalar, q)
-from cosovereign.scalars import _q_power, as_ratfunc
 from _helpers import (LONG_LITERAL, needs_digit_limit, reference_fuse,
                       reference_parse_scalar, scalar_texts)
 
@@ -73,13 +72,25 @@ def test_parse_scalar_deep_nesting_is_a_parse_error(text):
         parse_scalar(text)
 
 
-@pytest.mark.parametrize("text", ["q^10001", "2*q^-99999999", "q^" + "9" * 60])
-def test_parse_scalar_bounds_q_exponents(text):
-    # q^k is stored densely, so these would ask for gigabytes or overflow
-    with pytest.raises(ParseError, match="q exponent beyond 10000") as exc:
+_Q_BOUND_ERRORS = [
+    ("q^10001", "q exponent", 2), ("2*q^-99999999", "q exponent", 4),
+    ("q^" + "9" * 60, "q exponent", 2),
+    # values built from bounded literals are bounded at the operator
+    ("q^10000*q^10000", "q degree", 7), ("q^10000/q^-1", "q degree", 7),
+    ("q^10000+q^-10000", "q degree", 7)]
+
+
+@pytest.mark.parametrize("text, message, pos", _Q_BOUND_ERRORS,
+                         ids=[text for text, _, _ in _Q_BOUND_ERRORS])
+def test_parse_scalar_bounds_q_exponents(text, message, pos):
+    # numerators and denominators are dense, so these would ask for
+    # gigabytes, overflow or take minutes
+    with pytest.raises(ParseError, match=f"{message} beyond 10000") as exc:
         parse_scalar(text)
-    assert exc.value.pos == text.index("^") + 1
+    assert exc.value.pos == pos
     assert parse_scalar("q^10000") * parse_scalar("q^-10000") == 1
+    assert parse_scalar("q^5000*q^5000") == q ** 10_000
+    assert parse_scalar("q^10000*q^-10000") == 1
 
 
 @needs_digit_limit
@@ -105,8 +116,10 @@ def test_powers_are_bounded_like_the_reader(power):
 
 
 def test_powers_at_the_bound():
-    assert q ** 10_000 == RatFunc(_q_power(10_000))
-    assert q ** -10_000 == RatFunc(Poly([1]), _q_power(10_000))
+    q_10000 = Poly([0] * 10_000 + [1])
+    assert q ** 10_000 == RatFunc(q_10000)
+    assert q ** -10_000 == RatFunc(Poly([1]), q_10000)
+    assert q ** 10_000 * q ** -10_000 == 1
     assert (1 + q) ** 3 == 1 + 3 * q + 3 * q ** 2 + q ** 3
     assert Poly([2]) ** 20_000 == Poly([2 ** 20_000])
 
@@ -232,7 +245,7 @@ def test_laurent_denominator_matches_euclidean_and_sympy(coeffs, c, k):
         assert (r.num, r.den) == _sympy_canonical(num, den)
 
 
-# -- Laurent fast paths against the general cross-multiplication path --------
+# -- Laurent scalars against the general cross-multiplication path ----------
 
 def _schoolbook(a, b):
     """Product of two Polys by the textbook double loop."""
@@ -287,7 +300,8 @@ _generals = st.builds(RatFunc, _coeff_lists.map(Poly),
                       _coeff_lists.map(Poly).filter(lambda p: p.degree() > 0))
 _constants = st.one_of(st.integers(-4, 4), _fracs)
 _operands = st.one_of(_laurents, _constants, _generals,
-                      _coeff_lists.map(lambda cs: RatFunc(Poly(cs))))
+                      _coeff_lists.map(lambda cs: RatFunc(Poly(cs))),
+                      st.integers(-6, 6).map(lambda k: q ** k))
 
 
 @seed(2002)
@@ -313,6 +327,13 @@ def test_laurent_arithmetic_matches_cross_multiplication(op, r, x, flip):
     got = _OPS[op](a, b)
     assert isinstance(got, RatFunc)
     assert (got.num, got.den) == expected
+    # the canonical form q**val * top/bot
+    top, bot = got.top, got.bot
+    if top.is_zero():
+        assert (got.val, bot) == (0, Poly([1]))
+    else:
+        assert top.coeffs[0] != 0 and bot.coeffs[0] != 0
+        assert bot.leading() == 1 and Poly.gcd(top, bot) == Poly([1])
     assert hash(got) == hash(RatFunc(*expected))
     if not expected[0].is_zero():
         assert expected == _sympy_canonical(*expected)
@@ -390,7 +411,8 @@ def test_combination_arithmetic_matches_dict_reference(cls, data):
     assert (a - a).is_zero() and a - a == cls()
     if cls is NCPolynomial:
         # constant RatFuncs equal, and hash like, the Fractions they lift
-        lifted = cls([(k, as_ratfunc(c)) for k, c in pa])
+        lifted = cls([(k, c if isinstance(c, RatFunc) else RatFunc(Poly([c])))
+                      for k, c in pa])
         assert lifted == a and hash(lifted) == hash(a)
 
 
