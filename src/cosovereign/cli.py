@@ -5,6 +5,10 @@ zero), 1 for a mathematical negative (non-confluent, not isomorphic, a freeness
 or morphism check that fails), and 2 for usage or parse errors.  Output is
 deterministic for a fixed command line; the seed option is echoed into every
 report so randomized sweeps driven from these reports stay reproducible.
+
+The parser adds only the subparser of the command a call names; `--help`,
+no command or an unknown one adds them all, and so does any top-level error,
+so every usage text lists every command.
 """
 
 from __future__ import annotations
@@ -273,18 +277,48 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """The top-level `cosov` parser, built with no subparsers; `parse_args`
+    adds only the one its first argument names."""
+
+    def __init__(self):
+        super().__init__(
+            prog="cosov",
+            description="Exact fusion rules and rewriting checks for "
+                        "universal cosovereign Hopf algebras.")
+        self._commands = self.add_subparsers(
+            dest="command", required=True,
+            parser_class=argparse.ArgumentParser)
+
+    def _add(self, names):
+        """Add the subparsers of `names` from `COMMANDS` not yet added."""
+        for name in names:
+            if name in self._commands.choices:
+                continue
+            func, help_text, specs = COMMANDS[name]
+            p = self._commands.add_parser(name, help=help_text)
+            for flags, options in specs:
+                p.add_argument(*flags, **options)
+            p.set_defaults(func=func)
+        return self
+
+    def parse_args(self, args=None, namespace=None):
+        """Parse after adding the subparser `args[0]` names, or all of them
+        when it names none."""
+        args = sys.argv[1:] if args is None else list(args)
+        self._add([args[0]] if args and args[0] in COMMANDS else COMMANDS)
+        return super().parse_args(args, namespace)
+
+    def error(self, message):
+        """Exit 2 with the usage of a parser holding every command."""
+        if len(self._commands.choices) < len(COMMANDS):
+            _Parser()._add(COMMANDS).error(message)
+        super().error(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="cosov",
-        description="Exact fusion rules and rewriting checks for universal "
-                    "cosovereign Hopf algebras.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, specs) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for flags, options in specs:
-            p.add_argument(*flags, **options)
-        p.set_defaults(func=func)
-    return ap
+    """The `cosov` parser; set-up of a subparser waits for `parse_args`."""
+    return _Parser()
 
 
 def main(argv=None):

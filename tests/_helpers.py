@@ -1,9 +1,11 @@
 """Shared generators for randomized exact-matrix tests, a reference
 recurrence for label dimensions, the splitting sum and the four-similarity
 isomorphism search that the closed forms replaced, reference readers for
-scalars and rule right sides, and reducers that check the rewriting engine:
-a linear scan over every rule, and rewriting at random redexes."""
+scalars and rule right sides, reducers that check the rewriting engine (a
+linear scan over every rule, and rewriting at random redexes), and the
+`cosov` parser with every subparser built up front."""
 
+import argparse
 import sys
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from cosovereign import (ExactMatrix, FusionElement, ParseError, Poly,
                          RatFunc, bar, inverse, is_generic, similar)
+from cosovereign.cli import COMMANDS
 from cosovereign.rewriting import (NCPolynomial, apply_rule_at, deglex_key,
                                    deglex_less)
 from cosovereign.scalars import add_term
@@ -506,3 +509,19 @@ def rhs_texts(draw, generators):
         parts.append(draw(monomials) if kind == 0 else coeff if kind == 1
                      else f"{coeff}*{draw(monomials)}")
     return "".join(parts)
+
+
+def reference_parser():
+    """The `cosov` parser as `cli.build_parser` built it before set-up
+    waited for the command: every subparser added, in `COMMANDS` order."""
+    ap = argparse.ArgumentParser(
+        prog="cosov",
+        description="Exact fusion rules and rewriting checks for universal "
+                    "cosovereign Hopf algebras.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, specs) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in specs:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
+    return ap

@@ -6,9 +6,9 @@ import sys
 import pytest
 
 from cosovereign import format_matrix, inverse, matrix_fq, ExactMatrix
-from cosovereign.cli import main, parse_table_payload
+from cosovereign.cli import COMMANDS, build_parser, main, parse_table_payload
 from _helpers import (LONG_LITERAL, generic_integer_matrix, needs_digit_limit,
-                      prefix_dim, random_unimodular)
+                      prefix_dim, random_unimodular, reference_parser)
 import random
 
 
@@ -361,3 +361,49 @@ def test_cli_import_is_light():
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+#: Valid command lines, at least two per command: defaults, --format json,
+#: --seed, -n and the preset flags.
+VALID_ARGVS = (
+    ["fuse", "ab", "ba"], ["fuse", "aab", "e", "-n", "3", "--format", "json"],
+    ["dual", "ab"], ["dual", "e"],
+    ["dim", "abab", "3"], ["dim", "e", "-2"],
+    ["psi", "abba"], ["psi", "ab", "--format", "json"],
+    ["table"], ["table", "--max-len", "4", "--format", "json", "--seed", "7"],
+    ["check", "hq"],
+    ["check", "hef", "--E", "e.mat", "--F", "f.mat", "--unchecked",
+     "--seed", "5", "--format", "json"],
+    ["check", "file", "--file", "p.pres"],
+    ["basis", "slq2", "--q", "3/2", "--max-len", "3"],
+    ["basis", "hq", "--max-len", "0", "--format", "json"],
+    ["free-check", "freeprod", "--letters", "a,b", "--max-len", "2"],
+    ["free-check", "hplus", "--q", "-2", "--letters", "x", "--max-len", "4",
+     "--seed", "3", "--format", "json"],
+    ["iso", "--E", "e.mat", "--F", "f.mat"], ["iso", "--F", "f", "--E", "e"],
+    ["verify-pi"], ["verify-pi", "--q", "3/2", "--format", "json", "--seed", "2"],
+    ["aaut-relations", "--F", "f.mat"],
+    ["aaut-relations", "--F", "f.mat", "--format", "json"],
+)
+
+
+def test_lazy_parser_matches_the_eager_one():
+    """The parser that adds only the named subparser gives the namespace of
+    the one that adds them all, `func` included."""
+    assert {argv[0] for argv in VALID_ARGVS} == set(COMMANDS)
+    reused = build_parser()
+    for argv in VALID_ARGVS:
+        ap = build_parser()
+        got = vars(ap.parse_args(argv))
+        assert got == vars(reference_parser().parse_args(argv)), argv
+        assert got["func"] is COMMANDS[argv[0]][0]
+        assert list(ap._commands.choices) == [argv[0]]
+        assert vars(reused.parse_args(argv)) == got
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    expected = run(capsys, "fuse", "ab", "ba")
+    monkeypatch.setattr(sys, "argv", ["cosov", "fuse", "ab", "ba"])
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
