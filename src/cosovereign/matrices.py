@@ -39,7 +39,8 @@ def _coerce_entry(x):
 
 
 class ExactMatrix:
-    """Immutable rectangular matrix of exact scalars (all Q or all Q(q))."""
+    """Immutable rectangular matrix of exact scalars; its mode is "q" when
+    some entry depends on q, and "rational" otherwise."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -49,9 +50,6 @@ class ExactMatrix:
             raise ValueError("matrix must have positive dimensions")
         if any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("ragged rows in matrix")
-        if any(isinstance(x, RatFunc) for row in grid for x in row):
-            grid = [tuple(x if isinstance(x, RatFunc) else RatFunc(x) for x in row)
-                    for row in grid]
         self.entries = tuple(grid)
         self.rows = len(grid)
         self.cols = len(grid[0])
@@ -68,7 +66,8 @@ class ExactMatrix:
 
     @property
     def mode(self):
-        return "q" if isinstance(self.entries[0][0], RatFunc) else "rational"
+        return ("q" if any(isinstance(x, RatFunc) for row in self.entries
+                           for x in row) else "rational")
 
     def is_square(self):
         return self.rows == self.cols

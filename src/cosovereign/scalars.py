@@ -1,17 +1,16 @@
 """Exact scalar arithmetic over Q and over Q(q).
 
-Two coefficient fields are supported.  Rational-mode scalars are plain
-``fractions.Fraction`` values.  q-mode scalars are ``RatFunc`` values, reduced
-quotients of polynomials in the indeterminate q, stored as
-``q**val * top/bot``: ``top`` and ``bot`` are coprime, neither is divisible by
-q, and ``bot`` is monic.  This form is canonical, so structural equality
-coincides with mathematical equality; zero is 0/1 with ``val`` 0, and a
-Laurent polynomial is exactly the case ``bot == 1``.  Powers of q only add to
-``val``, so they cost no dense polynomial arithmetic.
+A scalar is a ``fractions.Fraction`` unless it depends on q; then it is a
+``RatFunc``, a reduced quotient of polynomials in the indeterminate q, stored
+as ``q**val * top/bot``: ``top`` and ``bot`` are coprime, neither is
+divisible by q, and ``bot`` is monic.  Building a ``RatFunc`` whose quotient
+is constant, zero included, returns that Fraction instead, so every scalar
+has one form and structural equality coincides with mathematical equality.
+A Laurent polynomial is exactly the case ``bot == 1``.  Powers of q only add
+to ``val``, so they cost no dense polynomial arithmetic.
 
-The two kinds mix in arithmetic (ints and Fractions are promoted to constant
-rational functions), which keeps matrix and rewriting code agnostic of the
-coefficient field.
+ints, Fractions and RatFuncs mix in arithmetic, which keeps matrix and
+rewriting code agnostic of the coefficient field.
 """
 
 from __future__ import annotations
@@ -198,12 +197,14 @@ def _unit_part(p):
 
 class RatFunc:
     """``q**val * top/bot``: ``top`` and ``bot`` are coprime ``Poly`` values
-    with nonzero constant terms, ``bot`` is monic, and zero is 0/1 with
-    ``val`` 0.  ``RatFunc(num, den, val)`` is ``q**val * num/den``."""
+    with nonzero constant terms and ``bot`` is monic.
+    ``RatFunc(num, den, val)`` is ``q**val * num/den``; it is that
+    ``Fraction`` instead when the reduced quotient does not depend on q
+    (zero included), so a ``RatFunc`` is never zero and never constant."""
 
     __slots__ = ("val", "top", "bot")
 
-    def __init__(self, num, den=_P_ONE, val=0):
+    def __new__(cls, num, den=_P_ONE, val=0):
         if not isinstance(num, Poly):
             num = Poly([num])
         if not isinstance(den, Poly):
@@ -211,8 +212,7 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            self.val, self.top, self.bot = 0, _P_ZERO, _P_ONE
-            return
+            return _F_ZERO
         i, top = _unit_part(num)
         j, bot = _unit_part(den)
         if bot.degree() > 0:
@@ -223,7 +223,15 @@ class RatFunc:
         if lc != 1:
             top = top * (1 / lc)
             bot = bot * (1 / lc)
-        self.val, self.top, self.bot = val + i - j, top, bot
+        val += i - j
+        if not val and len(top.coeffs) == 1 and len(bot.coeffs) == 1:
+            return top.coeffs[0]
+        self = object.__new__(cls)
+        self.val, self.top, self.bot = val, top, bot
+        return self
+
+    def __reduce__(self):
+        return RatFunc, (self.top, self.bot, self.val)
 
     @property
     def num(self):
@@ -235,39 +243,28 @@ class RatFunc:
         """Monic denominator of the reduced quotient, q-factors included."""
         return self.bot.shift(-self.val) if self.val < 0 else self.bot
 
-    # -- coercion -----------------------------------------------------------
+    # -- arithmetic ---------------------------------------------------------
 
     @staticmethod
-    def _coerce(x):
+    def _parts(x):
+        """(val, top, bot) of a scalar, or None for anything else."""
         if isinstance(x, RatFunc):
-            return x
+            return x.val, x.top, x.bot
         if isinstance(x, (int, Fraction)):
-            return RatFunc(Poly([Fraction(x)]))
+            return 0, Poly([x]), _P_ONE
         return None
-
-    def is_zero(self):
-        return self.top.is_zero()
-
-    def is_constant(self):
-        return not self.val and self.bot == _P_ONE and self.top.degree() <= 0
-
-    def as_fraction(self):
-        if not self.is_constant():
-            raise ValueError(f"{self} is not a constant rational function")
-        return self.top.coeffs[0] if self.top.coeffs else Fraction(0)
-
-    # -- arithmetic ---------------------------------------------------------
 
     def _plus(self, other, sign):
         """self + sign*other, sign being 1 or -1."""
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
+        o_val, o_top, o_bot = o
         # bring both tops onto the smaller power of q
-        val = min(self.val, o.val)
-        a = self.top.shift(self.val - val) * o.bot
-        b = o.top.shift(o.val - val) * self.bot
-        return RatFunc(a + b if sign > 0 else a - b, self.bot * o.bot, val)
+        val = min(self.val, o_val)
+        a = self.top.shift(self.val - val) * o_bot
+        b = o_top.shift(o_val - val) * self.bot
+        return RatFunc(a + b if sign > 0 else a - b, self.bot * o_bot, val)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -278,69 +275,49 @@ class RatFunc:
         return self._plus(other, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return (-self)._plus(other, 1)
 
     def __neg__(self):
         return RatFunc(-self.top, self.bot, self.val)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.top * o.top, self.bot * o.bot, self.val + o.val)
+        o_val, o_top, o_bot = o
+        return RatFunc(self.top * o_top, self.bot * o_bot, self.val + o_val)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
+        o_val, o_top, o_bot = o
+        if o_top.is_zero():
             raise ZeroDivisionError("division by zero scalar")
-        return RatFunc(self.top * o.bot, self.bot * o.top, self.val - o.val)
+        return RatFunc(self.top * o_bot, self.bot * o_top, self.val - o_val)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        # __mul__, not *, so that `combination / q` stays a TypeError
+        return RatFunc(self.bot, self.top, -self.val).__mul__(other)
 
     def __pow__(self, k):
-        if k == 0:
-            return RatFunc(_P_ONE)
         if k < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("negative power of zero")
             return RatFunc(self.bot, self.top, -self.val) ** (-k)
         if abs(self.val) * k > _MAX_Q_EXPONENT:
             raise ValueError(f"power of degree beyond {_MAX_Q_EXPONENT}")
         return RatFunc(self.top ** k, self.bot ** k, self.val * k)
 
     def __eq__(self, other):
-        if isinstance(other, RatFunc):
-            return (self.val == other.val
-                    and self.top.coeffs == other.top.coeffs
-                    and self.bot.coeffs == other.bot.coeffs)
-        if not isinstance(other, (int, Fraction)):
+        if not isinstance(other, RatFunc):
             return NotImplemented
-        # the canonical form of a constant c is c/1, and of zero 0/1
-        tc = self.top.coeffs
-        if not other:
-            return not tc
-        return (not self.val and len(self.bot.coeffs) == 1 and len(tc) == 1
-                and tc[0] == other)
+        return (self.val == other.val
+                and self.top.coeffs == other.top.coeffs
+                and self.bot.coeffs == other.bot.coeffs)
 
     def __hash__(self):
-        # constants hash like the Fraction they equal
-        if self.is_constant():
-            return hash(self.as_fraction())
         return hash((self.val, self.top.coeffs, self.bot.coeffs))
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def __str__(self):
         return format_scalar(self)
@@ -356,8 +333,6 @@ q = RatFunc(_P_ONE, _P_ONE, 1)
 def scalar_sign(s):
     """Sign of a Fraction, or of the leading numerator coefficient."""
     if isinstance(s, RatFunc):
-        if s.is_zero():
-            return 0
         return 1 if s.top.leading() > 0 else -1
     return (s > 0) - (s < 0)
 
@@ -387,14 +362,12 @@ def _laurent_str(pairs, compact):
             parts.append(body if c > 0 else "-" + body)
         else:
             parts.append((plus if c > 0 else minus) + body)
-    return "".join(parts) if parts else "0"
+    return "".join(parts)
 
 
 def format_scalar(s, compact=False):
     if isinstance(s, (int, Fraction)):
         return str(s)
-    if s.is_zero():
-        return "0"
     if s.bot == _P_ONE:
         return _laurent_str(_laurent_terms(s.top, s.val), compact)
     num = _laurent_str(_laurent_terms(s.num, 0), compact)
@@ -522,7 +495,7 @@ class Combination:
         return self.terms == other.terms
 
     def __hash__(self):
-        # consistent with ==: a constant RatFunc hashes like its Fraction
+        # consistent with ==, since every scalar has one form
         return hash(frozenset(self.terms.items()))
 
     def _render(self, render_key):
@@ -584,7 +557,7 @@ class _Reader:
         factor  := ('+'|'-') factor | integer | 'q' ['^' integer]
                    | name | '(' sum ')'
 
-    A value stays a Fraction until q appears, and is a RatFunc after.  Names
+    A value is a Fraction unless it depends on q, and a RatFunc then.  Names
     evaluate through `names`, which maps them to Combinations keyed by
     tuples.  '.' joins two names only, so a float such as 0.5 is no product.
     """
@@ -704,8 +677,8 @@ class _Reader:
 def parse_expression(text, names=None):
     """Value of `text` under the `_Reader` grammar.
 
-    Without `names` it is a scalar: a Fraction when the text never mentions
-    q, otherwise a RatFunc.  Errors carry the 0-based position in `text`.
+    Without `names` it is a scalar: a Fraction unless its value depends on
+    q, and a RatFunc then.  Errors carry the 0-based position in `text`.
     """
     reader = _Reader(text, names or {})
     value = reader.sum()

@@ -326,7 +326,7 @@ def reference_parse_scalar(text, offset=0):
     """The scalar reader `parse_scalar` used before the expression reader:
     a rational literal, a Laurent q-expression, or (p)/(p).
 
-    Returns a Fraction when the text never mentions q, otherwise a RatFunc.
+    Returns a Fraction unless the value depends on q, and a RatFunc then.
     """
     sc = _Scan(text, offset)
     sc.ws()
@@ -354,11 +354,9 @@ def reference_parse_scalar(text, offset=0):
             sc.expect(")")
             num = _laurent_to_scalar(num_terms, True)
             den = _laurent_to_scalar(den_terms, True)
-            if den.is_zero():
+            if den == 0:
                 sc.err("zero denominator")
             value = num / den
-            if not (saw1 or saw2):
-                value = value.as_fraction()
         else:
             value = _laurent_to_scalar(num_terms, saw1)
     else:

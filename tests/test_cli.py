@@ -226,6 +226,15 @@ def test_iso(tmp_path, capsys):
     assert code == 2 and "generic" in err
 
 
+def test_iso_reads_constant_q_expressions_as_rational(tmp_path, capsys):
+    # q/(2*q) and 2*q/q do not depend on q, so E is a rational matrix
+    epath, fpath = tmp_path / "e.mat", tmp_path / "f.mat"
+    epath.write_text("2 2\nq/(2*q) 0\n0 2*q/q\n")
+    fpath.write_text("2 2\n-2 0\n0 -1/2\n")
+    code, out, err = run(capsys, "iso", "--E", str(epath), "--F", str(fpath))
+    assert (code, out, err) == (0, "isomorphic via condition i: F ~ -E\n", "")
+
+
 @needs_digit_limit
 def test_overlong_literal_is_a_usage_error(tmp_path, capsys):
     epath, fpath = tmp_path / "e.mat", tmp_path / "f.mat"

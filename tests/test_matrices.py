@@ -263,6 +263,15 @@ def test_matrix_parse_and_format():
     assert again == m
 
 
+def test_matrix_mode_is_q_exactly_when_an_entry_depends_on_q():
+    m = parse_matrix("2 2\nq/(2*q) 0\n0 2*q/q\n")
+    assert m.mode == "rational"
+    assert m.entries == ((Fraction(1, 2), 0), (0, 2))
+    assert all(type(x) is Fraction for row in m.entries for x in row)
+    m = parse_matrix("2 2\n1 0\n0 q\n")
+    assert m.mode == "q" and type(m[0, 0]) is Fraction
+
+
 def test_matrix_parse_errors_have_position():
     with pytest.raises(ParseError) as exc:
         parse_matrix("2 2\n1 2\n3 x\n")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -139,8 +141,23 @@ def test_canonical_form():
     s = parse_scalar("(q^2-1)/(2*q^2+2*q)")
     assert s.den.leading() == 1
     assert Poly.gcd(s.num, s.den).degree() <= 0
-    zero = q - q
-    assert zero.is_zero() and zero.num == Poly() and zero.den == Poly([1])
+    assert type(q - q) is Fraction and q - q == 0
+
+
+@pytest.mark.parametrize("text, value", [
+    ("q/q", 1), ("q^0", 1), ("q-q", 0), ("2*q/q", 2), ("(q^2-1)/(q+1)-q", -1)])
+def test_constant_q_expressions_are_fractions(text, value):
+    got = parse_scalar(text)
+    assert type(got) is Fraction and got == value
+
+
+def test_pickle_and_copy_round_trip():
+    values = [q, q ** -3, parse_scalar("(q^2+1)/(q+1)"),
+              NCPolynomial({(0, 1): q ** -3, (1,): (q + 1) / (q - 2), (): 5})]
+    for x in values:
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x),
+                  copy.deepcopy(x)):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x)
 
 
 def test_mixed_mode_arithmetic():
@@ -203,6 +220,29 @@ def test_ratfunc_rejects_floats():
         RatFunc(1, 0.5)
 
 
+def _parts(x):
+    """(numerator, denominator) of a scalar, constants over 1."""
+    if isinstance(x, RatFunc):
+        return x.num, x.den
+    return Poly([x]), Poly([1])
+
+
+def _assert_canonical(x, expected):
+    """`x` has the canonical quotient `expected`: it is a Fraction exactly
+    when that quotient is constant, and otherwise a RatFunc in the form
+    q**val * top/bot."""
+    assert _parts(x) == expected
+    num, den = expected
+    if num.degree() <= 0 and den == Poly([1]):
+        assert type(x) is Fraction
+        return
+    assert type(x) is RatFunc
+    top, bot = x.top, x.bot
+    assert top.coeffs[0] != 0 and bot.coeffs[0] != 0
+    assert bot.leading() == 1 and Poly.gcd(top, bot) == Poly([1])
+    assert all(type(c) is Fraction for c in top.coeffs + bot.coeffs)
+
+
 def _euclidean_canonical(num, den):
     """Canonical form by a Euclidean gcd, the path general denominators take."""
     if num.is_zero():
@@ -239,10 +279,9 @@ def test_laurent_denominator_matches_euclidean_and_sympy(coeffs, c, k):
     den = Poly([0] * k + [c])
     r = RatFunc(num, den)
     expected = _euclidean_canonical(num, den)
-    assert (r.num, r.den) == expected
-    assert all(type(x) is Fraction for x in r.num.coeffs + r.den.coeffs)
+    _assert_canonical(r, expected)
     if not num.is_zero():
-        assert (r.num, r.den) == _sympy_canonical(num, den)
+        assert expected == _sympy_canonical(num, den)
 
 
 # -- Laurent scalars against the general cross-multiplication path ----------
@@ -256,13 +295,6 @@ def _schoolbook(a, b):
         for j, y in enumerate(b.coeffs):
             out[i + j] += x * y
     return Poly(out)
-
-
-def _parts(x):
-    """(numerator, denominator) of a scalar, constants over 1."""
-    if isinstance(x, RatFunc):
-        return x.num, x.den
-    return Poly([x]), Poly([1])
 
 
 def _cross(op, a, b):
@@ -325,18 +357,39 @@ def test_laurent_arithmetic_matches_cross_multiplication(op, r, x, flip):
             _OPS[op](a, b)
         return
     got = _OPS[op](a, b)
-    assert isinstance(got, RatFunc)
-    assert (got.num, got.den) == expected
-    # the canonical form q**val * top/bot
-    top, bot = got.top, got.bot
-    if top.is_zero():
-        assert (got.val, bot) == (0, Poly([1]))
-    else:
-        assert top.coeffs[0] != 0 and bot.coeffs[0] != 0
-        assert bot.leading() == 1 and Poly.gcd(top, bot) == Poly([1])
+    _assert_canonical(got, expected)
     assert hash(got) == hash(RatFunc(*expected))
     if not expected[0].is_zero():
         assert expected == _sympy_canonical(*expected)
+
+
+def _assert_never_constant(x):
+    """A RatFunc depends on q, and pickles and copies to an equal value."""
+    if type(x) is RatFunc:
+        assert x.val or x.top.degree() > 0 or x.bot.degree() > 0
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert type(y) is RatFunc and y == x and hash(y) == hash(x)
+    else:
+        assert type(x) is Fraction
+
+
+@seed(2002)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(sorted(_OPS)), _operands, _operands,
+       _coeff_lists.map(Poly), _coeff_lists.map(Poly), st.integers(-4, 4))
+def test_no_constant_ratfunc_can_be_built(op, a, b, num, den, val):
+    if not (isinstance(a, int) and isinstance(b, int)):
+        try:
+            _assert_never_constant(_OPS[op](a, b))
+        except ZeroDivisionError:
+            assert op == "/" and b == 0
+    if not den.is_zero():
+        _assert_never_constant(RatFunc(num, den, val))
+    for x in (a, b):
+        if isinstance(x, RatFunc):
+            _assert_never_constant(-x)
+            _assert_never_constant(x ** 0)
+            _assert_never_constant(x ** -1)
 
 
 @seed(2002)
@@ -344,8 +397,9 @@ def test_laurent_arithmetic_matches_cross_multiplication(op, r, x, flip):
 @given(_constants, st.integers(0, 3), _constants)
 def test_constant_comparison_matches_general_path(c, k, d):
     r = RatFunc(Poly([c]), Poly([0] * k + [1]))     # c / q^k
+    _assert_canonical(r, _euclidean_canonical(Poly([c]), Poly([0] * k + [1])))
     for x in (c, d, 0):
-        general = (r.num, r.den) == _parts(x)
+        general = _parts(r) == _parts(x)
         assert (r == x) is general
         if general:
             assert hash(r) == hash(Fraction(x))
@@ -410,10 +464,9 @@ def test_combination_arithmetic_matches_dict_reference(cls, data):
     assert shuffled == a and hash(shuffled) == hash(a)
     assert (a - a).is_zero() and a - a == cls()
     if cls is NCPolynomial:
-        # constant RatFuncs equal, and hash like, the Fractions they lift
-        lifted = cls([(k, c if isinstance(c, RatFunc) else RatFunc(Poly([c])))
-                      for k, c in pa])
-        assert lifted == a and hash(lifted) == hash(a)
+        # a constant never becomes a RatFunc, so no coefficient has two forms
+        assert all(type(RatFunc(Poly([c]))) is Fraction
+                   for _, c in pa if not isinstance(c, RatFunc))
 
 
 def test_product_needs_one_combination_type():
@@ -422,6 +475,8 @@ def test_product_needs_one_combination_type():
         NCPolynomial({(0,): 1}) * f
     with pytest.raises(TypeError):
         f * 2
+    with pytest.raises(TypeError):
+        NCPolynomial({(0,): 1}) / q
     assert 2 * f == FusionElement({"ab": 2})
 
 
