@@ -23,7 +23,7 @@ import math
 import operator
 import re
 
-from .scalars import Combination, ParseError
+from .scalars import Combination, ParseError, parse_integer, render_terms
 
 Z, V = "Z", "V"
 
@@ -62,23 +62,27 @@ def render_alt_word(w):
     return " ".join(f"Z^{i}" if k == Z else f"V_{i}" for k, i in w)
 
 
+#: Z^i or V_j; the group that matched (`lastindex`) is 1 for Z, 2 for V.
 _FACTOR_RE = re.compile(r"Z\^(-?\d+)|V_(\d+)")
 
 
 def parse_alt_word(text):
-    text = text.strip()
-    if text == "1":
+    """Word of text such as 'Z^1 V_2', or '1'; errors carry positions."""
+    if text.strip() == "1":
         return ()
     factors = []
-    for tok in text.split():
-        m = _FACTOR_RE.fullmatch(tok)
+    for tok in re.finditer(r"\S+", text):
+        m = _FACTOR_RE.fullmatch(text, tok.start(), tok.end())
         if not m:
-            raise ParseError(f"invalid factor {tok!r}")
-        if m.group(1) is not None:
-            factors.append((Z, int(m.group(1))))
-        else:
-            factors.append((V, int(m.group(2))))
-    return check_alt_word(factors)
+            raise ParseError(f"invalid factor {tok.group()!r}",
+                             pos=tok.start())
+        factor = ((Z, V)[m.lastindex - 1], parse_integer(m, m.lastindex))
+        try:
+            check_alt_word(factors[-1:] + [factor])
+        except ValueError as exc:
+            raise ParseError(str(exc), pos=tok.start()) from None
+        factors.append(factor)
+    return tuple(factors)
 
 
 class RepElement(Combination):
@@ -103,7 +107,7 @@ class RepElement(Combination):
         return w
 
     def render(self):
-        return self._render(render_alt_word)
+        return render_terms(self.pairs(), render_alt_word)
 
     __str__ = render
 

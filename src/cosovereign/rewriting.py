@@ -25,7 +25,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .scalars import NAME, Combination, ParseError, add_term, parse_expression
+from .scalars import (NAME, Combination, ParseError, add_term,
+                      parse_expression, render_terms)
 
 
 def _name_error(name, seen):
@@ -103,7 +104,7 @@ class NCPolynomial(Combination):
         return cls({tuple(m): coeff})
 
     def render(self, alphabet):
-        return self._render(alphabet.render)
+        return render_terms(self.pairs(), alphabet.render)
 
 
 class RuleOrderError(ValueError):

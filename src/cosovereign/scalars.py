@@ -10,7 +10,8 @@ A Laurent polynomial is exactly the case ``bot == 1``.  Powers of q only add
 to ``val``, so they cost no dense polynomial arithmetic.
 
 ints, Fractions and RatFuncs mix in arithmetic, which keeps matrix and
-rewriting code agnostic of the coefficient field.
+rewriting code agnostic of the coefficient field.  `render_terms` prints
+every signed sum: the powers of q of a scalar, the terms of a `Combination`.
 """
 
 from __future__ import annotations
@@ -233,16 +234,6 @@ class RatFunc:
     def __reduce__(self):
         return RatFunc, (self.top, self.bot, self.val)
 
-    @property
-    def num(self):
-        """Numerator of the reduced quotient, q-factors included."""
-        return self.top.shift(self.val) if self.val > 0 else self.top
-
-    @property
-    def den(self):
-        """Monic denominator of the reduced quotient, q-factors included."""
-        return self.bot.shift(-self.val) if self.val < 0 else self.bot
-
     # -- arithmetic ---------------------------------------------------------
 
     @staticmethod
@@ -330,49 +321,66 @@ class RatFunc:
 q = RatFunc(_P_ONE, _P_ONE, 1)
 
 
-def scalar_sign(s):
-    """Sign of a Fraction, or of the leading numerator coefficient."""
-    if isinstance(s, RatFunc):
-        return 1 if s.top.leading() > 0 else -1
-    return (s > 0) - (s < 0)
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
 
 
-def _laurent_terms(poly, shift):
-    """(exponent, coefficient) pairs of poly * q**shift, descending exponent."""
-    return [(i + shift, c) for i in range(poly.degree(), -1, -1)
-            for c in [poly.coeffs[i]] if c]
+def _coeff_text(mag):
+    """A positive coefficient, parenthesized when its text would show a sign:
+    a Laurent polynomial of several terms or with a q^-k.  A quotient prints
+    as (...)/(...), so it needs none."""
+    if not isinstance(mag, RatFunc):
+        return str(mag)
+    text = format_scalar(mag, compact=True)
+    if mag.bot == _P_ONE and (mag.val < 0 or mag.top.degree() > 0):
+        return f"({text})"
+    return text
 
 
-def _laurent_str(pairs, compact):
-    plus, minus = ("+", "-") if compact else (" + ", " - ")
+def render_terms(pairs, render_key, plus=" + ", minus=" - "):
+    """The signed sum of (key, coefficient) pairs, in the order given; "0"
+    when there are none.  A term prints as coefficient*key, as its key alone
+    when the coefficient is 1 or -1, and as its coefficient alone on a falsy
+    key (the unit) otherwise."""
     parts = []
     for k, c in pairs:
-        mag = c if c > 0 else -c
-        if k == 0:
-            body = str(mag)
+        neg = (c.top.coeffs[-1] if isinstance(c, RatFunc) else c) < 0
+        mag = -c if neg else c
+        if mag == 1:
+            body = render_key(k)
+        elif k:
+            body = f"{_coeff_text(mag)}*{render_key(k)}"
         else:
-            head = "q" if k == 1 else f"q^{k}"
-            body = head if mag == 1 else f"{mag}*{head}"
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append((plus if c > 0 else minus) + body)
-    return "".join(parts)
+            body = _coeff_text(mag)
+        if parts:
+            parts.append(minus if neg else plus)
+        elif neg:
+            parts.append("-")
+        parts.append(body)
+    return "".join(parts) or "0"
+
+
+def _q_power_text(k):
+    return "1" if k == 0 else "q" if k == 1 else f"q^{k}"
 
 
 def format_scalar(s, compact=False):
-    if isinstance(s, (int, Fraction)):
+    """A scalar as text that `parse_scalar` reads back; `compact` drops the
+    spaces around the signs of a sum."""
+    if not isinstance(s, RatFunc):
         return str(s)
+    signs = ("+", "-") if compact else (" + ", " - ")
+
+    def poly_text(p, shift):
+        """p * q**shift, highest power first."""
+        pairs = [(i + shift, c) for i, c in enumerate(p.coeffs) if c]
+        return render_terms(pairs[::-1], _q_power_text, *signs)
+
     if s.bot == _P_ONE:
-        return _laurent_str(_laurent_terms(s.top, s.val), compact)
-    num = _laurent_str(_laurent_terms(s.num, 0), compact)
-    den = _laurent_str(_laurent_terms(s.den, 0), compact)
-    return f"({num})/({den})"
+        return poly_text(s.top, s.val)
+    return (f"({poly_text(s.top, max(s.val, 0))})"
+            f"/({poly_text(s.bot, max(-s.val, 0))})")
 
 
 # ---------------------------------------------------------------------------
@@ -394,28 +402,13 @@ def add_term(terms, key, c):
         terms[key] = cur
 
 
-def _coeff_text(c):
-    """A coefficient magnitude, parenthesized when it is a sum."""
-    text = format_scalar(c, compact=True)
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0:
-            return f"({text})"
-    return text
-
-
 class Combination:
     """Finite combination of hashable keys with exact scalar coefficients;
     immutable and zero-free.
 
     Subclasses set `_order`, the sort key that puts the leading term first,
     and `_times`, the product of two keys as (key, multiplicity) pairs, which
-    `*` extends bilinearly.  A term on the empty key (the unit) renders as
-    its coefficient alone, unless that is 1 or -1.
+    `*` extends bilinearly.  Each subclass prints through `render_terms`.
     """
 
     __slots__ = ("terms",)
@@ -498,24 +491,6 @@ class Combination:
         # consistent with ==, since every scalar has one form
         return hash(frozenset(self.terms.items()))
 
-    def _render(self, render_key):
-        parts = []
-        for k, c in self.pairs():
-            neg = scalar_sign(c) < 0
-            mag = -c if neg else c
-            if mag == 1:
-                body = render_key(k)
-            elif k:
-                body = f"{_coeff_text(mag)}*{render_key(k)}"
-            else:
-                body = _coeff_text(mag)
-            if parts:
-                parts.append(" - " if neg else " + ")
-            elif neg:
-                parts.append("-")
-            parts.append(body)
-        return "".join(parts) or "0"
-
     def __repr__(self):
         return f"{type(self).__name__}({self.terms!r})"
 
@@ -539,14 +514,14 @@ _MAX_DEPTH = 100
 _MAX_Q_EXPONENT = 10_000
 
 
-def parse_integer(m):
-    """The int of an `INTEGER` match, or ParseError at its start when it has
-    more digits than the interpreter converts."""
+def parse_integer(m, group=0):
+    """The int of an integer literal matched as `group` of `m`, or ParseError
+    at its start when it has more digits than the interpreter converts."""
     try:
-        return int(m.group())
+        return int(m.group(group))
     except ValueError:
         raise ParseError("integer literal has too many digits",
-                         pos=m.start()) from None
+                         pos=m.start(group)) from None
 
 
 class _Reader:

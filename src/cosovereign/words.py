@@ -22,7 +22,7 @@ import itertools
 import operator
 
 from .repring import alt_dim, psi_word
-from .scalars import Combination, ParseError
+from .scalars import Combination, ParseError, render_terms
 
 LETTERS = "ab"
 _BAR = str.maketrans("ab", "ba")
@@ -67,7 +67,7 @@ class FusionElement(Combination):
     _times = staticmethod(lambda x, y: fuse(x, y).terms.items())
 
     def render(self):
-        return self._render(word_str)
+        return render_terms(self.pairs(), word_str)
 
     __str__ = render
 

@@ -1,7 +1,8 @@
 """Shared generators for randomized exact-matrix tests, a reference
 recurrence for label dimensions, the splitting sum and the four-similarity
 isomorphism search that the closed forms replaced, reference readers for
-scalars and rule right sides, reducers that check the rewriting engine (a
+scalars and rule right sides, the printer of scalars and combinations that
+`render_terms` replaced, reducers that check the rewriting engine (a
 linear scan over every rule, and rewriting at random redexes), and the
 `cosov` parser with every subparser built up front."""
 
@@ -454,6 +455,84 @@ def reference_parse_rhs(text, alphabet):
     """A rule right side as the presentation reader read it before the
     expression reader: terms split at top-level signs."""
     return _parse_poly_text(text.strip(), alphabet, 1, 1)
+
+
+def _reference_laurent_terms(poly, shift):
+    """(exponent, coefficient) pairs of poly * q**shift, descending exponent."""
+    return [(i + shift, c) for i in range(poly.degree(), -1, -1)
+            for c in [poly.coeffs[i]] if c]
+
+
+def _reference_laurent_str(pairs, compact):
+    plus, minus = ("+", "-") if compact else (" + ", " - ")
+    parts = []
+    for k, c in pairs:
+        mag = c if c > 0 else -c
+        if k == 0:
+            body = str(mag)
+        else:
+            head = "q" if k == 1 else f"q^{k}"
+            body = head if mag == 1 else f"{mag}*{head}"
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append((plus if c > 0 else minus) + body)
+    return "".join(parts)
+
+
+def reference_format_scalar(s, compact=False):
+    """`format_scalar` as it was before `render_terms`: a Laurent polynomial
+    and the two sides of a quotient, with its power of q multiplied out,
+    each print through their own loop."""
+    if isinstance(s, (int, Fraction)):
+        return str(s)
+    if s.bot == Poly([1]):
+        return _reference_laurent_str(_reference_laurent_terms(s.top, s.val),
+                                      compact)
+    num = s.top.shift(s.val) if s.val > 0 else s.top
+    den = s.bot.shift(-s.val) if s.val < 0 else s.bot
+    num = _reference_laurent_str(_reference_laurent_terms(num, 0), compact)
+    den = _reference_laurent_str(_reference_laurent_terms(den, 0), compact)
+    return f"({num})/({den})"
+
+
+def _reference_coeff_text(c):
+    """A coefficient magnitude, parenthesized when its text has a sign
+    outside parentheses."""
+    text = reference_format_scalar(c, compact=True)
+    depth = 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0:
+            return f"({text})"
+    return text
+
+
+def reference_render(combination, render_key):
+    """`Combination.render` as it was before `render_terms`: the sign read
+    off each coefficient, and the parentheses off its printed text."""
+    parts = []
+    for k, c in combination.pairs():
+        if isinstance(c, RatFunc):
+            neg = c.top.leading() < 0
+        else:
+            neg = c < 0
+        mag = -c if neg else c
+        if mag == 1:
+            body = render_key(k)
+        elif k:
+            body = f"{_reference_coeff_text(mag)}*{render_key(k)}"
+        else:
+            body = _reference_coeff_text(mag)
+        if parts:
+            parts.append(" - " if neg else " + ")
+        elif neg:
+            parts.append("-")
+        parts.append(body)
+    return "".join(parts) or "0"
 
 
 # texts in the grammar the reference readers accept: terms c, c/d, c*q^k and

@@ -282,6 +282,24 @@ def test_general_denominator_file_golden(tmp_path, capsys):
         "2 ambiguities (0 inclusion, 2 overlap); confluent: False\n")
 
 
+@pytest.mark.parametrize("rules, residuals", [
+    (["b.a -> q^-1*a.b + (q+1)*a", "b.b -> (q^2+1)/(q-1)*a"],
+     ["-(2+2*q^-1)*a.b + (q+1+q^-1+q^-2)*a.a - (q^2+2*q+1)*a",
+      "(q+q^-1)*a.b - (q^3+q^2+q+1)/(q-1)*a"]),
+    (["b.a -> q^-1*a", "b.b -> a"], ["a.a - (q^-2)*a", "a.b - (q^-1)*a"])])
+def test_laurent_coefficients_are_parenthesized(tmp_path, capsys, rules,
+                                                residuals):
+    # a q^-k or a Laurent sum prints in parentheses; a quotient as (..)/(..)
+    path = tmp_path / "laurent.pres"
+    path.write_text("generators:\na\nb\nrules:\n" + "\n".join(rules) + "\n")
+    code, out, _ = run(capsys, "check", "file", "--file", str(path))
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 5
+    for line, residual in zip(lines[2:4], residuals):
+        assert line.endswith(f"FAIL residual {residual}")
+
+
 VERIFY_PI_GENERAL_RELATIONS = [
     "b.bs -> -a.as + 1",
     "b.ds -> -a.cs",

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, seed, settings
 from sympy import Rational, chebyshevu
 
-from cosovereign import (RepElement, alt_dim, check_alt_word, clebsch_gordan,
-                         dim, multiply, odot, parse_alt_word, psi, psi_word,
-                         render_alt_word, so3_fuse, words_up_to)
+from cosovereign import (ParseError, RepElement, alt_dim, check_alt_word,
+                         clebsch_gordan, dim, multiply, odot, parse_alt_word,
+                         psi, psi_word, render_alt_word, so3_fuse, words_up_to)
 from cosovereign.repring import PSI_A, PSI_B
-from _helpers import labels, prefix_dim
+from _helpers import LONG_LITERAL, labels, needs_digit_limit, prefix_dim
 
 Z, V = "Z", "V"
 
@@ -106,6 +106,23 @@ def test_render_parse_alt_words():
     assert parse_alt_word("Z^1 V_2 Z^-1") == w
     assert parse_alt_word("1") == ()
     assert render_alt_word(()) == "1"
+
+
+@needs_digit_limit
+def test_parse_alt_word_overlong_exponent_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_alt_word("Z^" + LONG_LITERAL)
+    assert exc.value.message == "integer literal has too many digits"
+    assert exc.value.pos == 2  # where the literal starts, as in every reader
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("Z^1 X", 4), ("  Z^1 V_2 Z^-1 1", 15), ("Z^1 Z^2", 4), ("V_1 V_0", 4),
+    ("Z^0", 0), ("Z^1 V_-1", 4), ("Z^+1", 0), ("Z^1 V_1\tV_2", 8)])
+def test_parse_alt_word_errors_carry_positions(text, pos):
+    with pytest.raises(ParseError) as exc:
+        parse_alt_word(text)
+    assert exc.value.pos == pos
 
 
 def test_multiply_examples():

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
-from cosovereign import (FusionElement, NCPolynomial, ParseError, Poly,
-                         RatFunc, RepElement, format_scalar, multiply,
-                         parse_scalar, q)
-from _helpers import (LONG_LITERAL, needs_digit_limit, reference_fuse,
-                      reference_parse_scalar, scalar_texts)
+from cosovereign import (Alphabet, FusionElement, NCPolynomial, ParseError,
+                         Poly, RatFunc, RepElement, format_scalar, multiply,
+                         parse_scalar, psi_word, q, render_alt_word, word_str)
+from cosovereign.scalars import parse_expression
+from _helpers import (LONG_LITERAL, needs_digit_limit, reference_format_scalar,
+                      reference_fuse, reference_parse_scalar,
+                      reference_render, scalar_texts)
 
 
 def test_parse_rationals():
@@ -137,10 +139,13 @@ def test_canonical_form():
     # denominator is monic and coprime to the numerator
     r = RatFunc(Poly([0, 0, 2]), Poly([0, 4]))  # 2q^2 / 4q
     assert r == q / 2
-    assert r.den == Poly([1])
-    s = parse_scalar("(q^2-1)/(2*q^2+2*q)")
-    assert s.den.leading() == 1
-    assert Poly.gcd(s.num, s.den).degree() <= 0
+    assert (r.val, r.top, r.bot) == (1, Poly([Fraction(1, 2)]), Poly([1]))
+    s = parse_scalar("(q^2-1)/(2*q^2+2*q)")  # (q-1)/(2*q)
+    assert (s.val, s.top, s.bot) == (
+        -1, Poly([Fraction(-1, 2), Fraction(1, 2)]), Poly([1]))
+    s = parse_scalar("(q^3-q)/(2*q^4+2*q^2)")  # (q^2-1)/(2*q*(q^2+1))
+    assert (s.val, s.top, s.bot) == (
+        -1, Poly([Fraction(-1, 2), 0, Fraction(1, 2)]), Poly([1, 0, 1]))
     assert type(q - q) is Fraction and q - q == 0
 
 
@@ -221,10 +226,12 @@ def test_ratfunc_rejects_floats():
 
 
 def _parts(x):
-    """(numerator, denominator) of a scalar, constants over 1."""
-    if isinstance(x, RatFunc):
-        return x.num, x.den
-    return Poly([x]), Poly([1])
+    """(numerator, denominator) of a scalar, constants over 1: q**val *
+    top/bot with the power of q multiplied into the side it divides."""
+    if not isinstance(x, RatFunc):
+        return Poly([x]), Poly([1])
+    num = x.top * Poly([0] * max(x.val, 0) + [1])
+    return num, x.bot * Poly([0] * max(-x.val, 0) + [1])
 
 
 def _assert_canonical(x, expected):
@@ -482,3 +489,80 @@ def test_product_needs_one_combination_type():
 
 def test_combination_equality_is_per_type():
     assert NCPolynomial({(): 2}) != RepElement({(): 2})
+
+
+# -- one printer against the two loops it replaced --------------------------
+
+_ALPHABET = Alphabet(["a", "b"])
+_GENERATORS = {name: NCPolynomial.monomial((i,), Fraction(1))
+               for i, name in enumerate(_ALPHABET.names)}
+# scalars as the printer meets them: Fractions, c*q^k on either side of q^0,
+# Laurent sums of several terms and quotients, each also negated, so that
+# negative leading coefficients occur in every form
+_printed = st.one_of(
+    _fracs,
+    st.builds(lambda c, k: c * q ** k, _nonzero,
+              st.integers(-6, 6).filter(bool)),
+    st.lists(st.tuples(_nonzero, st.integers(-4, 4)), min_size=2,
+             max_size=5).map(lambda ts: sum(c * q ** k for c, k in ts)),
+    st.builds(lambda g, k: g * q ** k, _generals, st.integers(-3, 3)))
+_printed_scalars = st.one_of(_printed, _printed.map(lambda x: -x))
+_nc_terms = st.dictionaries(st.lists(st.integers(0, 1), max_size=3).map(tuple),
+                            _printed_scalars, max_size=5)
+
+
+@example(q ** -1)
+@example(-(q + 1) / (q ** 2 - 1) * q ** -2)
+@seed(2002)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_printed_scalars)
+def test_format_scalar_matches_reference(x):
+    assert format_scalar(x) == reference_format_scalar(x)
+    assert (format_scalar(x, compact=True)
+            == reference_format_scalar(x, compact=True))
+
+
+@pytest.mark.parametrize("terms, text", [
+    ({(0,): q ** -1}, "(q^-1)*a"),
+    ({(0,): -q ** -1, (): q ** -1}, "-(q^-1)*a + (q^-1)"),
+    ({(1, 0): -(q + 1 + q ** -1), (0,): 2 * q ** 3},
+     "-(q+1+q^-1)*b.a + 2*q^3*a"),
+    ({(0,): (q ** 2 + 1) / (q - 1), (): -q}, "(q^2+1)/(q-1)*a - q"),
+    ({(): -1}, "-1"), ({(): -q - 1}, "-(q+1)"), ({}, "0")])
+def test_ncpolynomial_render_examples(terms, text):
+    assert NCPolynomial(terms).render(_ALPHABET) == text
+
+
+@example({(0,): q ** -1})
+@seed(2002)
+@settings(max_examples=200, deadline=None, database=None)
+@given(_nc_terms)
+def test_ncpolynomial_render_matches_reference(terms):
+    p = NCPolynomial(terms)
+    assert p.render(_ALPHABET) == reference_render(p, _ALPHABET.render)
+
+
+@seed(2002)
+@settings(max_examples=200, deadline=None, database=None)
+@given(_nc_terms)
+def test_ncpolynomial_render_round_trip(terms):
+    p = NCPolynomial(terms)
+    got = parse_expression(p.render(_ALPHABET), _GENERATORS)
+    if not isinstance(got, NCPolynomial):
+        got = NCPolynomial({(): got})
+    assert got == p
+
+
+@example({"": 1, "a": -1})
+@example({"": -3, "ab": 2})
+@seed(2002)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.dictionaries(st.text("ab", max_size=3), st.integers(-3, 3),
+                       max_size=5))
+def test_fusion_and_rep_element_render_match_reference(terms):
+    # psi_word("") is the empty alternated word, so both units occur
+    for x, render_key in (
+            (FusionElement(terms), word_str),
+            (RepElement({psi_word(w): c for w, c in terms.items()}),
+             render_alt_word)):
+        assert x.render() == reference_render(x, render_key)
