@@ -68,12 +68,13 @@ def _build_preset(args):
     return system, f"{args.preset} ({detail})"
 
 
-def _emit(args, payload, text):
-    """Print text() or, under --format json, payload() as JSON."""
-    if args.format == "json":
-        print(json.dumps(payload(), indent=2))
-    else:
-        print(text())
+def _emit(args, json_text, text):
+    """Print text() or, under --format json, json_text()."""
+    print(json_text() if args.format == "json" else text())
+
+
+def _json(obj):
+    return json.dumps(obj, indent=2)
 
 
 def cmd_fuse(args):
@@ -92,8 +93,8 @@ def cmd_fuse(args):
                      + " + ".join(str(d) for d in summand_dims)
                      + f" = {total} = {dx}*{dy}")
         dims["dims"] = {"n": args.n, "summands": summand_dims, "total": total}
-    _emit(args, lambda: {"x": word_str(x), "y": word_str(y),
-                         "product": result.to_pairs(), **dims},
+    _emit(args, lambda: _json({"x": word_str(x), "y": word_str(y),
+                               "product": result.to_pairs(), **dims}),
           lambda: "\n".join([result.render(), *lines]))
     return 0
 
@@ -111,20 +112,41 @@ def cmd_dim(args):
 def cmd_psi(args):
     w = psi(parse_word(args.x)).single_word()
     d, image = alt_dim(w), render_alt_word(w)
-    _emit(args, lambda: {"word": args.x, "image": image,
-                         "factors": [{"kind": k, "index": i} for k, i in w],
-                         "dim": d},
+    _emit(args, lambda: _json({"word": args.x, "image": image,
+                               "factors": [{"kind": k, "index": i}
+                                           for k, i in w],
+                               "dim": d}),
           lambda: f"{image} (dim {d})")
     return 0
 
 
+#: One table entry as `json.dumps(..., indent=2)` nests it in "entries",
+#: with its product's words joined by `_JSON_SUMMANDS` in the last slot.
+_JSON_ENTRY = ('    {{\n      "x": "{}",\n      "y": "{}",\n      "product": [\n'
+               '        [\n          "{}",\n          1\n        ]\n'
+               '      ]\n    }}')
+_JSON_SUMMANDS = '",\n          1\n        ],\n        [\n          "'
+
+
+def _table_json(table, max_len, seed):
+    """`json.dumps(payload, indent=2)` of the table, written in one pass:
+    words are `a`/`b` strings or `e`, so nothing needs escaping, and `fuse`
+    gives each summand once, so every multiplicity is 1."""
+    entries = ",\n".join(
+        _JSON_ENTRY.format(word_str(x), word_str(y),
+                           _JSON_SUMMANDS.join(map(word_str, p.terms)))
+        for x, y, p in table)
+    return (f'{{\n  "max_len": {max_len},\n  "seed": {seed},\n'
+            f'  "entries": [\n{entries}\n  ]\n}}')
+
+
 def cmd_table(args):
+    # `fuse` inserts its summands leading term first, so a product's text
+    # is its words in order
     table = fusion_table(args.max_len)
-    _emit(args, lambda: {"max_len": args.max_len, "seed": args.seed,
-                         "entries": [{"x": word_str(x), "y": word_str(y),
-                                      "product": p.to_pairs()}
-                                     for x, y, p in table]},
-          lambda: "\n".join(f"{word_str(x)} {word_str(y)} -> {p.render()}"
+    _emit(args, lambda: _table_json(table, args.max_len, args.seed),
+          lambda: "\n".join(f"{word_str(x)} {word_str(y)} -> "
+                            f"{' + '.join(map(word_str, p.terms))}"
                             for x, y, p in table))
     return 0
 
@@ -140,9 +162,10 @@ def parse_table_payload(blob):
 def cmd_check(args):
     spec, label = _build_preset(args)
     report = confluent(spec)
-    _emit(args, lambda: {"presentation": label, "seed": args.seed,
-                         "confluent": report.ok, "counts": report.counts(),
-                         "ambiguities": report.to_payload()},
+    _emit(args, lambda: _json({"presentation": label, "seed": args.seed,
+                               "confluent": report.ok,
+                               "counts": report.counts(),
+                               "ambiguities": report.to_payload()}),
           lambda: (f"presentation: {label}\nseed: {args.seed}\n"
                    + report.to_text()))
     return 0 if report.ok else 1
@@ -152,8 +175,9 @@ def cmd_basis(args):
     spec, label = _build_preset(args)
     monos = reduced_monomials(spec, args.max_len)
     rendered = [spec.alphabet.render(m) for m in monos]
-    _emit(args, lambda: {"presentation": label, "max_len": args.max_len,
-                         "count": len(rendered), "monomials": rendered},
+    _emit(args, lambda: _json({"presentation": label,
+                               "max_len": args.max_len,
+                               "count": len(rendered), "monomials": rendered}),
           lambda: "\n".join(rendered))
     return 0
 
@@ -165,9 +189,9 @@ def cmd_free_check(args):
         if name not in spec.alphabet.names:
             raise UsageError(f"unknown generator {name!r}")
     free = is_free_family(spec, letters, args.max_len)
-    _emit(args, lambda: {"presentation": label, "letters": letters,
-                         "max_len": args.max_len, "free": free,
-                         "seed": args.seed},
+    _emit(args, lambda: _json({"presentation": label, "letters": letters,
+                               "max_len": args.max_len, "free": free,
+                               "seed": args.seed}),
           lambda: (f"family {{{', '.join(letters)}}} free up to length "
                    f"{args.max_len}: {free}"))
     return 0 if free else 1
@@ -186,11 +210,12 @@ def cmd_iso(args):
 
 def cmd_verify_pi(args):
     report = pres.verify_pi(_parse_q(args.q))
-    _emit(args, lambda: {"q": args.q, "seed": args.seed, "ok": report.ok,
-                         "checks": [{"relation": c.relation, "ok": c.ok,
-                                     "residual": c.residual.render(
-                                         report.alphabet)}
-                                    for c in report.checks]},
+    _emit(args, lambda: _json({"q": args.q, "seed": args.seed,
+                               "ok": report.ok,
+                               "checks": [{"relation": c.relation, "ok": c.ok,
+                                           "residual": c.residual.render(
+                                               report.alphabet)}
+                                          for c in report.checks]}),
           lambda: f"q: {args.q}\nseed: {args.seed}\n" + report.to_text())
     return 0 if report.ok else 1
 
@@ -207,9 +232,9 @@ def cmd_aaut(args):
             lines.append(f"[{name}] ({len(relations)} relations)")
             lines.extend("  " + r for r in relations)
         return "\n".join(lines)
-    _emit(args, lambda: {"n": f.rows, "counts": rel.counts(),
-                         "generators": list(rel.alphabet.names),
-                         "families": families}, text)
+    _emit(args, lambda: _json({"n": f.rows, "counts": rel.counts(),
+                               "generators": list(rel.alphabet.names),
+                               "families": families}), text)
     return 0
 
 

@@ -227,12 +227,24 @@ class RatFunc:
         val += i - j
         if not val and len(top.coeffs) == 1 and len(bot.coeffs) == 1:
             return top.coeffs[0]
+        return cls._of(val, top, bot)
+
+    def __reduce__(self):
+        return RatFunc, (self.top, self.bot, self.val)
+
+    @classmethod
+    def _of(cls, val, top, bot):
+        """Wrap parts already in canonical form: no gcd, no checks."""
         self = object.__new__(cls)
         self.val, self.top, self.bot = val, top, bot
         return self
 
-    def __reduce__(self):
-        return RatFunc, (self.top, self.bot, self.val)
+    def _inverse(self):
+        """1/self: swapping coprime parts keeps them coprime, so only the
+        new `bot` is made monic."""
+        lc = self.top.leading()
+        top = self.bot if lc == 1 else self.bot * (1 / lc)
+        return RatFunc._of(-self.val, top, self.top.monic())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -269,9 +281,14 @@ class RatFunc:
         return (-self)._plus(other, 1)
 
     def __neg__(self):
-        return RatFunc(-self.top, self.bot, self.val)
+        return RatFunc._of(self.val, -self.top, self.bot)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a nonzero constant factor creates no common factor
+            if not other:
+                return _F_ZERO
+            return RatFunc._of(self.val, self.top * other, self.bot)
         o = self._parts(other)
         if o is None:
             return NotImplemented
@@ -281,6 +298,8 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)) and other:
+            return self.__mul__(1 / Fraction(other))
         o = self._parts(other)
         if o is None:
             return NotImplemented
@@ -291,14 +310,17 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         # __mul__, not *, so that `combination / q` stays a TypeError
-        return RatFunc(self.bot, self.top, -self.val).__mul__(other)
+        return self._inverse().__mul__(other)
 
     def __pow__(self, k):
         if k < 0:
-            return RatFunc(self.bot, self.top, -self.val) ** (-k)
+            return self._inverse() ** (-k)
+        if not k:
+            return Fraction(1)
         if abs(self.val) * k > _MAX_Q_EXPONENT:
             raise ValueError(f"power of degree beyond {_MAX_Q_EXPONENT}")
-        return RatFunc(self.top ** k, self.bot ** k, self.val * k)
+        # powers of coprime parts stay coprime, and a monic bot stays monic
+        return RatFunc._of(self.val * k, self.top ** k, self.bot ** k)
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):

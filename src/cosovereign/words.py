@@ -84,6 +84,7 @@ def fuse(x, y):
     """Decomposition of U_x tensor U_y into simple labels; equals odot(x, y).
 
     Cancelling k letters is a splitting while x[-1-i] != y[i] for all i < k.
+    The summands are inserted for k = 0, 1, ..., so in leading-term order.
     """
     most = 0
     for s, t in zip(reversed(x), y):

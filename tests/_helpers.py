@@ -2,7 +2,8 @@
 recurrence for label dimensions, the splitting sum and the four-similarity
 isomorphism search that the closed forms replaced, reference readers for
 scalars and rule right sides, the printer of scalars and combinations that
-`render_terms` replaced, reducers that check the rewriting engine (a
+`render_terms` replaced, the `cosov table` JSON payload and text lines that
+its one-pass writers replaced, reducers that check the rewriting engine (a
 linear scan over every rule, and rewriting at random redexes), and the
 `cosov` parser with every subparser built up front."""
 
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import strategies as st
 
 from cosovereign import (ExactMatrix, FusionElement, ParseError, Poly,
-                         RatFunc, bar, inverse, is_generic, similar)
+                         RatFunc, bar, fusion_table, inverse, is_generic,
+                         similar, word_str)
 from cosovereign.cli import COMMANDS
 from cosovereign.rewriting import (NCPolynomial, apply_rule_at, deglex_key,
                                    deglex_less)
@@ -533,6 +535,21 @@ def reference_render(combination, render_key):
             parts.append("-")
         parts.append(body)
     return "".join(parts) or "0"
+
+
+def reference_table_payload(max_len, seed):
+    """The payload `cosov table --format json` printed as
+    `json.dumps(payload, indent=2)` before it wrote its JSON in one pass."""
+    return {"max_len": max_len, "seed": seed,
+            "entries": [{"x": word_str(x), "y": word_str(y),
+                         "product": p.to_pairs()}
+                        for x, y, p in fusion_table(max_len)]}
+
+
+def reference_table_lines(max_len):
+    """The lines `cosov table` printed through `FusionElement.render`."""
+    return [f"{word_str(x)} {word_str(y)} -> {p.render()}"
+            for x, y, p in fusion_table(max_len)]
 
 
 # texts in the grammar the reference readers accept: terms c, c/d, c*q^k and

@@ -8,7 +8,8 @@ import pytest
 from cosovereign import format_matrix, inverse, matrix_fq, ExactMatrix
 from cosovereign.cli import COMMANDS, build_parser, main, parse_table_payload
 from _helpers import (LONG_LITERAL, generic_integer_matrix, needs_digit_limit,
-                      prefix_dim, random_unimodular, reference_parser)
+                      prefix_dim, random_unimodular, reference_parser,
+                      reference_table_lines, reference_table_payload)
 import random
 
 
@@ -79,6 +80,21 @@ def test_table_text_and_roundtrip(capsys):
     from cosovereign import fuse
     for x, y, product in entries:
         assert product == fuse(x, y)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("max_len", range(5))
+def test_table_writers_match_reference(capsys, max_len, seed):
+    """The one-pass writers print the bytes of `json.dumps(payload,
+    indent=2)` and of the `FusionElement.render` lines."""
+    argv = ["table", "--max-len", str(max_len), "--seed", str(seed)]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(reference_table_payload(max_len, seed),
+                             indent=2) + "\n"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "\n".join(reference_table_lines(max_len)) + "\n"
 
 
 def test_table_deterministic(capsys):

@@ -7,8 +7,9 @@ from hypothesis import given, seed, settings
 from sympy import Rational, chebyshevu
 
 from cosovereign import (ParseError, RepElement, alt_dim, check_alt_word,
-                         clebsch_gordan, dim, multiply, odot, parse_alt_word,
-                         psi, psi_word, render_alt_word, so3_fuse, words_up_to)
+                         clebsch_gordan, dim, fuse, multiply, odot,
+                         parse_alt_word, psi, psi_word, render_alt_word,
+                         so3_fuse, words_up_to)
 from cosovereign.repring import PSI_A, PSI_B
 from _helpers import LONG_LITERAL, labels, needs_digit_limit, prefix_dim
 
@@ -263,3 +264,15 @@ def test_so3_fuse():
         for l in range(6):
             evens = [m // 2 for m in clebsch_gordan(2 * k, 2 * l) if m % 2 == 0]
             assert so3_fuse(k, l) == evens
+
+
+def test_so3_fuse_is_fuse_on_powers_of_ab():
+    """Under r_k -> (ab)^k the SO(3)-type rules are the fusion rules: each
+    summand of (ab)^k (*) (ab)^l is a power of ab, the exponents are
+    so3_fuse(k, l), and (ab)^k has the SO(3) dimension 2k + 1 at n = 2."""
+    for k in range(12):
+        assert dim("ab" * k, 2) == 2 * k + 1
+        for l in range(12):
+            words = [w for w, _ in fuse("ab" * k, "ab" * l).pairs()]
+            assert all(w == "ab" * (len(w) // 2) for w in words)
+            assert sorted(len(w) // 2 for w in words) == so3_fuse(k, l)

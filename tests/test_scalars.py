@@ -399,6 +399,38 @@ def test_no_constant_ratfunc_can_be_built(op, a, b, num, den, val):
             _assert_never_constant(x ** -1)
 
 
+def _assert_same_form(got, expected):
+    """`got` is `expected` part for part: the same type, and for a RatFunc
+    the same `val`, `top` and `bot`, in canonical form."""
+    assert type(got) is type(expected) and got == expected
+    assert hash(got) == hash(expected)
+    if type(got) is RatFunc:
+        assert (got.val, got.top, got.bot) == (
+            expected.val, expected.top, expected.bot)
+        _assert_canonical(got, _parts(expected))
+
+
+@seed(2002)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(_laurents, _generals).filter(lambda x: type(x) is RatFunc),
+       _constants, st.integers(-3, 3))
+def test_gcd_free_results_match_the_constructor(x, c, k):
+    """Negation, inversion, powers and scaling by a constant build their
+    results without a gcd; each equals the one the constructor builds."""
+    top, bot, val = x.top, x.bot, x.val
+    _assert_same_form(-x, RatFunc(-top, bot, val))
+    _assert_same_form(1 / x, RatFunc(bot, top, -val))
+    _assert_same_form(x * c, RatFunc(top * Poly([c]), bot, val))
+    _assert_same_form(c * x, RatFunc(top * Poly([c]), bot, val))
+    if k >= 0:
+        _assert_same_form(x ** k, RatFunc(top ** k, bot ** k, val * k))
+    else:
+        _assert_same_form(x ** k, RatFunc(bot ** -k, top ** -k, val * k))
+    if c:
+        _assert_same_form(x / c, RatFunc(top, bot * Poly([c]), val))
+        _assert_same_form(c / x, RatFunc(bot * Poly([c]), top, -val))
+
+
 @seed(2002)
 @settings(max_examples=150, deadline=None, database=None)
 @given(_constants, st.integers(0, 3), _constants)

@@ -84,6 +84,15 @@ def test_multiplicity_freeness():
             assert all(c == 1 for _, c in fuse(x, y).pairs())
 
 
+def test_fuse_inserts_summands_in_leading_term_order():
+    """`cosov table` prints a product as its words in insertion order."""
+    for x in words_up_to(5):
+        for y in words_up_to(5):
+            p = fuse(x, y)
+            assert list(p.terms) == [w for w, _ in p.pairs()]
+            assert set(p.terms.values()) == {1}
+
+
 def test_term_count_matches_splitting_count():
     # one summand per suffix g of x whose bar is a prefix of y
     for x in words_up_to(5):
