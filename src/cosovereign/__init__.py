@@ -15,7 +15,7 @@ from .repring import (RepElement, alt_dim, check_alt_word, clebsch_gordan,
 from .rewriting import (Alphabet, Ambiguity, ConfluenceReport, EnumerationBound,
                         NCPolynomial, RewriteSystem, Rule, RuleOrderError,
                         apply_rule_at, confluent, find_ambiguities,
-                        is_free_family, parse_presentation, reduce,
+                        is_free_family, orient, parse_presentation, reduce,
                         reduced_monomials, resolve)
 from .presentations import (AautRelations, build_aaut, build_freeprod,
                             build_hef, build_hplusq, build_hq, build_slq2,

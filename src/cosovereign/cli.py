@@ -232,7 +232,8 @@ def cmd_aaut(args):
             lines.append(f"[{name}] ({len(relations)} relations)")
             lines.extend("  " + r for r in relations)
         return "\n".join(lines)
-    _emit(args, lambda: _json({"n": f.rows, "counts": rel.counts(),
+    counts = {name: len(relations) for name, relations in families.items()}
+    _emit(args, lambda: _json({"n": f.rows, "counts": counts,
                                "generators": list(rel.alphabet.names),
                                "families": families}), text)
     return 0

@@ -1,20 +1,22 @@
 """Builders for the concrete presentations fed to the rewriting engine.
 
-The two-parameter algebra H(E, F) has generators u_ij, v_ij (i up to m, j up
-to n) and the four relation families obtained by solving the defining matrix
-identities u tv = I, v F tu = E, tv u = I, tu E^-1 v = F^-1 for their leading
-monomials, with E diagonal and F lower-triangular.  Generators are ordered
-with every v below every u, the u's lexicographically by index and the v's in
-the reversed lexicographic order; each relation's right side then consists of
-strictly smaller monomials, which is what the engine requires.
+The two-parameter algebra H(E, F), E diagonal and F lower-triangular, has
+generators u_ij, v_ij (i up to m, j up to n).  Its rules are the entries of
+the four defining identities u tv = I, v F tu = E, tv u = I, tu E^-1 v =
+F^-1, each oriented by `rewriting.orient`.  Generators are ordered with
+every v below every u, the u's lexicographically by index and the v's in
+the reversed lexicographic order; the leading monomials are then u_in v_jn,
+v_i1 u_j1, v_1i u_1j and u_mi v_mj.
 
 H(q) is the special case E = F = diag(q^-1, q) with the eight generators
-renamed a, b, c, d (matrix u) and as, bs, cs, ds (matrix v).  Its extension
-by a grouplike generator t adjoins ten rules mixing t, ti with the eight.
-The quantum SL(2) coordinate algebra and its free product with Laurent
-polynomials in z are presented with the standard deg-lex quadratic rules.
+renamed a, b, c, d (matrix u) and as, bs, cs, ds (matrix v).  The table
+`_star_pairs` pairs each u-letter x with a v-letter y and a coefficient c.
+A grouplike t adds ti.x -> (1/c) y.t and t.y -> c x.ti for each pair, after
+t.ti -> ti.t and ti.t -> 1.  The quantum SL(2) coordinate algebra and its
+free product with Laurent polynomials in z have the standard deg-lex
+quadratic rules.
 
-The morphism check substitutes the images
+The morphism check substitutes the images x -> z.x and y -> c x.zi
 
     a -> z.a   b -> z.b   c -> z.c   d -> z.d
     as -> d.zi   bs -> -q^-1 c.zi   cs -> -q b.zi   ds -> a.zi
@@ -30,7 +32,8 @@ from fractions import Fraction
 from itertools import product
 
 from .matrices import ExactMatrix, inverse, trace
-from .rewriting import Alphabet, NCPolynomial, RewriteSystem, Rule, reduce
+from .rewriting import (Alphabet, NCPolynomial, RewriteSystem, Rule,
+                        orient, reduce)
 
 
 def trace_conditions(e, f):
@@ -80,56 +83,35 @@ def build_hef(e, f, unchecked=False):
                          "do not hold; pass unchecked=True to build anyway")
 
     fmt = "{0}{1}" if max(m, n) <= 9 else "{0}_{1}"
-
-    def uname(i, j):
-        return "u" + fmt.format(i, j)
-
-    def vname(i, j):
-        return "v" + fmt.format(i, j)
-
     pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    names = [vname(i, j) for (i, j) in reversed(pairs)] + \
-            [uname(i, j) for (i, j) in pairs]
-    alphabet = Alphabet(names)
-    u = {(i, j): alphabet.index(uname(i, j)) for (i, j) in pairs}
-    v = {(i, j): alphabet.index(vname(i, j)) for (i, j) in pairs}
+    alphabet = Alphabet([f"v{fmt.format(*p)}" for p in reversed(pairs)]
+                        + [f"u{fmt.format(*p)}" for p in pairs])
+    u, v = ([[alphabet.index(x + fmt.format(i, j)) for j in range(1, n + 1)]
+             for i in range(1, m + 1)] for x in "uv")
+    tu, tv = list(zip(*u)), list(zip(*v))
 
-    finv = inverse(f)
-    f11_inv = Fraction(1) / f[0, 0]
-    e_mm = e[m - 1, m - 1]
+    def entries(x, c, y, d):
+        """The entries of d - x.c.ty, row by row, for letter matrices x, y
+        and scalar matrices c, d given as lists of rows; with c = I, this
+        sign makes -1 the leading coefficient, which `orient` keeps."""
+        cs = [(k, l, -ckl) for k, row in enumerate(c)
+              for l, ckl in enumerate(row) if ckl]
+        for xi, di in zip(x, d):
+            for yj, dij in zip(y, di):
+                # zero-free, and the rows of x and of y repeat no letter
+                terms = {(xi[k], yj[l]): ckl for k, l, ckl in cs}
+                if dij:
+                    terms[()] = dij
+                yield NCPolynomial._of(terms)
 
-    rules = []
-    # u tv = I_m, leading monomial u_in v_jn
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            terms = {(): Fraction(int(i == j))}
-            for k in range(1, n):
-                terms[(u[i, k], v[j, k])] = Fraction(-1)
-            rules.append(Rule((u[i, n], v[j, n]), NCPolynomial(terms)))
-    # v F tu = E, leading monomial v_i1 u_j1
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            terms = {(): f11_inv * e[i - 1, j - 1]}
-            for k in range(2, n + 1):
-                for l in range(1, n + 1):
-                    terms[(v[i, k], u[j, l])] = -(f11_inv * f[k - 1, l - 1])
-            rules.append(Rule((v[i, 1], u[j, 1]), NCPolynomial(terms)))
-    # tv u = I_n, leading monomial v_1i u_1j
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            terms = {(): Fraction(int(i == j))}
-            for k in range(2, m + 1):
-                terms[(v[k, i], u[k, j])] = Fraction(-1)
-            rules.append(Rule((v[1, i], u[1, j]), NCPolynomial(terms)))
-    # tu E^-1 v = F^-1, leading monomial u_mi v_mj
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            terms = {(): e_mm * finv[i - 1, j - 1]}
-            for k in range(1, m):
-                terms[(u[k, i], v[k, j])] = -(e_mm / e[k - 1, k - 1])
-            rules.append(Rule((u[m, i], v[m, j]), NCPolynomial(terms)))
-
-    return RewriteSystem(alphabet, rules)
+    one = Fraction(1)
+    eye_m, eye_n = ([[one if i == j else 0 for j in range(k)]
+                     for i in range(k)] for k in (m, n))
+    e_inv = [[one / x if x else 0 for x in row] for row in e.entries]
+    identities = ((u, eye_n, v, eye_m), (v, f.entries, u, e.entries),
+                  (tv, eye_m, tu, eye_n), (tu, e_inv, tv, inverse(f).entries))
+    return RewriteSystem(alphabet, [orient(r) for x, c, y, d in identities
+                                    for r in entries(x, c, y, d)])
 
 
 #: H(q) name of each H(E, F) generator at m = n = 2.
@@ -152,27 +134,27 @@ def build_hq(qv):
     return RewriteSystem(alphabet, hef.rules)
 
 
+def _star_pairs(qv):
+    """(x, y, c) for each H(q) generator x of the matrix u and its partner y
+    of v: pi sends x to z.x and y to c.x.zi, and t.y = c.x.ti in H+(q)."""
+    one = Fraction(1)
+    return (("a", "ds", one), ("b", "cs", -qv), ("c", "bs", -one / qv),
+            ("d", "as", one))
+
+
 def build_hplusq(qv):
     """H(q) extended by a grouplike t: the sixteen rules plus ten t-rules."""
     qv = _check_q(qv)
     hq = build_hq(qv)
     alphabet = Alphabet(hq.alphabet.names + ("ti", "t"))
     g = alphabet.index
-    one = Fraction(1)
-    qinv = Fraction(1) / qv
     t, ti = g("t"), g("ti")
-    t_rules = [
-        Rule((t, ti), NCPolynomial({(ti, t): one})),
-        Rule((ti, t), NCPolynomial({(): one})),
-        Rule((ti, g("a")), NCPolynomial({(g("ds"), t): one})),
-        Rule((t, g("ds")), NCPolynomial({(g("a"), ti): one})),
-        Rule((ti, g("b")), NCPolynomial({(g("cs"), t): -qinv})),
-        Rule((t, g("cs")), NCPolynomial({(g("b"), ti): -qv})),
-        Rule((ti, g("c")), NCPolynomial({(g("bs"), t): -qv})),
-        Rule((t, g("bs")), NCPolynomial({(g("c"), ti): -qinv})),
-        Rule((ti, g("d")), NCPolynomial({(g("as"), t): one})),
-        Rule((t, g("as")), NCPolynomial({(g("d"), ti): one})),
-    ]
+    one = Fraction(1)
+    t_rules = [Rule((t, ti), NCPolynomial({(ti, t): one})),
+               Rule((ti, t), NCPolynomial({(): one}))]
+    for x, y, c in _star_pairs(qv):
+        t_rules += [Rule((ti, g(x)), NCPolynomial({(g(y), t): 1 / c})),
+                    Rule((t, g(y)), NCPolynomial({(g(x), ti): c}))]
     return RewriteSystem(alphabet, hq.rules + tuple(t_rules))
 
 
@@ -222,19 +204,12 @@ def build_freeprod(qv):
 def standard_pi_images(qv, freeprod):
     """The defining images of the eight H(q) generators in the free product."""
     g = freeprod.alphabet.index
-    qinv = Fraction(1) / qv
-    one = Fraction(1)
     z, zi = g("z"), g("zi")
-    return {
-        "a": NCPolynomial({(z, g("a")): one}),
-        "b": NCPolynomial({(z, g("b")): one}),
-        "c": NCPolynomial({(z, g("c")): one}),
-        "d": NCPolynomial({(z, g("d")): one}),
-        "as": NCPolynomial({(g("d"), zi): one}),
-        "bs": NCPolynomial({(g("c"), zi): -qinv}),
-        "cs": NCPolynomial({(g("b"), zi): -qv}),
-        "ds": NCPolynomial({(g("a"), zi): one}),
-    }
+    images = {}
+    for x, y, c in _star_pairs(qv):
+        images[x] = NCPolynomial({(z, g(x)): Fraction(1)})
+        images[y] = NCPolynomial({(g(x), zi): c})
+    return images
 
 
 PiCheck = namedtuple("PiCheck", "relation residual ok")
@@ -297,14 +272,8 @@ def verify_pi(qv, image_overrides=None):
 # ---------------------------------------------------------------------------
 
 
-class AautRelations:
-    """Relation data only: no orientation or confluence claim is made."""
-
-    def __init__(self, alphabet, families):
-        self.alphabet, self.families = alphabet, families
-
-    def counts(self):
-        return {name: len(polys) for name, polys in self.families.items()}
+#: Relation data only: no orientation or confluence claim is made.
+AautRelations = namedtuple("AautRelations", "alphabet families")
 
 
 def build_aaut(f):

@@ -139,6 +139,24 @@ class Rule(namedtuple("Rule", "lhs rhs")):
         return f"{alphabet.render(self.lhs)} -> {self.rhs.render(alphabet)}"
 
 
+_MINUS_ONE = Fraction(-1)
+
+
+def orient(relation):
+    """The `Rule` of `relation = 0`: its deg-lex leading monomial rewrites
+    to the rest, times minus the reciprocal of the leading coefficient (so
+    the rest as it is when that coefficient is -1)."""
+    if relation.is_zero():
+        raise ValueError("a zero relation has no leading monomial to orient")
+    terms = relation.terms
+    lhs = max(terms, key=deglex_key)
+    rest = {m: c for m, c in terms.items() if m != lhs}
+    if terms[lhs] != -1:
+        scale = _MINUS_ONE / terms[lhs]
+        rest = {m: c * scale for m, c in rest.items()}
+    return Rule(lhs, NCPolynomial._of(rest))
+
+
 # ---------------------------------------------------------------------------
 # reduction
 # ---------------------------------------------------------------------------

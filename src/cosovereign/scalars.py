@@ -259,6 +259,14 @@ class RatFunc:
 
     def _plus(self, other, sign):
         """self + sign*other, sign being 1 or -1."""
+        if isinstance(other, (int, Fraction)):
+            # top*q^k + c*bot stays coprime to bot: no gcd, only a factor q
+            # to strip, which can arise when self.val == 0
+            val = min(self.val, 0)
+            top = (self.top.shift(self.val - val)
+                   + self.bot.shift(-val) * (other if sign > 0 else -other))
+            i, top = _unit_part(top)
+            return RatFunc._of(val + i, top, self.bot)
         o = self._parts(other)
         if o is None:
             return NotImplemented

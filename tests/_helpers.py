@@ -4,8 +4,11 @@ isomorphism search that the closed forms replaced, reference readers for
 scalars and rule right sides, the printer of scalars and combinations that
 `render_terms` replaced, the `cosov table` JSON payload and text lines that
 its one-pass writers replaced, reducers that check the rewriting engine (a
-linear scan over every rule, and rewriting at random redexes), and the
-`cosov` parser with every subparser built up front."""
+linear scan over every rule, and rewriting at random redexes), the H(E, F)
+builder with each relation family solved by hand for its leading monomial
+and the H+(q) t-rules and free-product images written out one by one, which
+`orient` and the star-pair table replaced, and the `cosov` parser with every
+subparser built up front."""
 
 import argparse
 import sys
@@ -14,9 +17,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from cosovereign import (ExactMatrix, FusionElement, ParseError, Poly,
-                         RatFunc, bar, fusion_table, inverse, is_generic,
-                         similar, word_str)
+from cosovereign import (Alphabet, ExactMatrix, FusionElement, ParseError,
+                         Poly, RatFunc, RewriteSystem, Rule, bar, build_hq,
+                         fusion_table, inverse, is_generic, similar, word_str)
 from cosovereign.cli import COMMANDS
 from cosovereign.rewriting import (NCPolynomial, apply_rule_at, deglex_key,
                                    deglex_less)
@@ -197,6 +200,94 @@ def random_reduce(p, rules, rng):
 
 def negated(m):
     return ExactMatrix([[-x for x in row] for row in m.entries])
+
+
+def reference_hef(e, f):
+    """H(E, F) with each of the four families solved by hand; the matrices
+    are assumed valid, as `build_hef` checks them."""
+    m, n = e.rows, f.rows
+    fmt = "{0}{1}" if max(m, n) <= 9 else "{0}_{1}"
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    alphabet = Alphabet(["v" + fmt.format(i, j) for (i, j) in reversed(pairs)]
+                        + ["u" + fmt.format(i, j) for (i, j) in pairs])
+    u = {p: alphabet.index("u" + fmt.format(*p)) for p in pairs}
+    v = {p: alphabet.index("v" + fmt.format(*p)) for p in pairs}
+    finv = inverse(f)
+    f11_inv = Fraction(1) / f[0, 0]
+    e_mm = e[m - 1, m - 1]
+    rules = []
+    # u tv = I_m, leading monomial u_in v_jn
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            terms = {(): Fraction(int(i == j))}
+            for k in range(1, n):
+                terms[(u[i, k], v[j, k])] = Fraction(-1)
+            rules.append(Rule((u[i, n], v[j, n]), NCPolynomial(terms)))
+    # v F tu = E, leading monomial v_i1 u_j1
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            terms = {(): f11_inv * e[i - 1, j - 1]}
+            for k in range(2, n + 1):
+                for l in range(1, n + 1):
+                    terms[(v[i, k], u[j, l])] = -(f11_inv * f[k - 1, l - 1])
+            rules.append(Rule((v[i, 1], u[j, 1]), NCPolynomial(terms)))
+    # tv u = I_n, leading monomial v_1i u_1j
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            terms = {(): Fraction(int(i == j))}
+            for k in range(2, m + 1):
+                terms[(v[k, i], u[k, j])] = Fraction(-1)
+            rules.append(Rule((v[1, i], u[1, j]), NCPolynomial(terms)))
+    # tu E^-1 v = F^-1, leading monomial u_mi v_mj
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            terms = {(): e_mm * finv[i - 1, j - 1]}
+            for k in range(1, m):
+                terms[(u[k, i], v[k, j])] = -(e_mm / e[k - 1, k - 1])
+            rules.append(Rule((u[m, i], v[m, j]), NCPolynomial(terms)))
+    return RewriteSystem(alphabet, rules)
+
+
+def reference_hplusq(qv):
+    """H+(q) with its ten t-rules written out; qv a nonzero Fraction or
+    RatFunc."""
+    hq = build_hq(qv)
+    alphabet = Alphabet(hq.alphabet.names + ("ti", "t"))
+    g = alphabet.index
+    one = Fraction(1)
+    qinv = Fraction(1) / qv
+    t, ti = g("t"), g("ti")
+    t_rules = [
+        Rule((t, ti), NCPolynomial({(ti, t): one})),
+        Rule((ti, t), NCPolynomial({(): one})),
+        Rule((ti, g("a")), NCPolynomial({(g("ds"), t): one})),
+        Rule((t, g("ds")), NCPolynomial({(g("a"), ti): one})),
+        Rule((ti, g("b")), NCPolynomial({(g("cs"), t): -qinv})),
+        Rule((t, g("cs")), NCPolynomial({(g("b"), ti): -qv})),
+        Rule((ti, g("c")), NCPolynomial({(g("bs"), t): -qv})),
+        Rule((t, g("bs")), NCPolynomial({(g("c"), ti): -qinv})),
+        Rule((ti, g("d")), NCPolynomial({(g("as"), t): one})),
+        Rule((t, g("as")), NCPolynomial({(g("d"), ti): one})),
+    ]
+    return RewriteSystem(alphabet, hq.rules + tuple(t_rules))
+
+
+def reference_pi_images(qv, freeprod):
+    """The eight free-product images of the H(q) generators, written out."""
+    g = freeprod.alphabet.index
+    qinv = Fraction(1) / qv
+    one = Fraction(1)
+    z, zi = g("z"), g("zi")
+    return {
+        "a": NCPolynomial({(z, g("a")): one}),
+        "b": NCPolynomial({(z, g("b")): one}),
+        "c": NCPolynomial({(z, g("c")): one}),
+        "d": NCPolynomial({(z, g("d")): one}),
+        "as": NCPolynomial({(g("d"), zi): one}),
+        "bs": NCPolynomial({(g("c"), zi): -qinv}),
+        "cs": NCPolynomial({(g("b"), zi): -qv}),
+        "ds": NCPolynomial({(g("a"), zi): one}),
+    }
 
 
 def reference_iso_witness(e, f):

@@ -1,5 +1,7 @@
+import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,7 +9,8 @@ from cosovereign import (ExactMatrix, NCPolynomial, build_aaut, build_freeprod,
                          build_hef, build_hplusq, build_hq, build_slq2,
                          confluent, find_ambiguities, inverse, is_free_family,
                          matrix_fq, reduce, reduced_monomials, trace,
-                         trace_conditions, verify_pi, q)
+                         standard_pi_images, trace_conditions, verify_pi, q)
+from _helpers import reference_hef, reference_hplusq, reference_pi_images
 
 E22 = ExactMatrix.diagonal([1, 2])
 F22 = ExactMatrix([[1, 0], [1, 2]])
@@ -54,6 +57,71 @@ def test_hef_ambiguity_census_and_confluence(e, f, m, n):
     assert len(ambs) == 4 * m * n + 2
     report = confluent(spec)
     assert report.ok
+
+
+def _random_scalar(rng, symbolic):
+    """A nonzero exact scalar; with `symbolic`, often one that depends on q."""
+    while True:
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        if symbolic and rng.random() < 0.6:
+            c = c * q ** rng.randint(-2, 2) + rng.randint(-2, 2)
+            if rng.random() < 0.3:
+                c = c / (q + rng.randint(1, 3))
+        if c:
+            return c
+
+
+def _random_hef_pair(rng):
+    """(E, F, unchecked): E diagonal and F lower-triangular, m and n from 2
+    to 5.  When m - n is even, the two diagonals often share their entries,
+    the longer one adding pairs (x, -x), so both trace conditions hold."""
+    m, n = rng.randint(2, 5), rng.randint(2, 5)
+    symbolic = rng.random() < 0.5
+    if (m - n) % 2 or rng.random() < 0.3:
+        d_e = [_random_scalar(rng, symbolic) for _ in range(m)]
+        d_f = [_random_scalar(rng, symbolic) for _ in range(n)]
+        unchecked = True
+    else:
+        d_e = [_random_scalar(rng, symbolic) for _ in range(min(m, n))]
+        d_f = list(d_e)
+        for _ in range(abs(m - n) // 2):
+            x = _random_scalar(rng, symbolic)
+            (d_e if m > n else d_f).extend((x, -x))
+        rng.shuffle(d_e)
+        rng.shuffle(d_f)
+        unchecked = False
+    f = [[0] * n for _ in range(n)]
+    for i in range(n):
+        f[i][i] = d_f[i]
+        for j in range(i):
+            if rng.random() < 0.5:
+                f[i][j] = _random_scalar(rng, symbolic)
+    return ExactMatrix.diagonal(d_e), ExactMatrix(f), unchecked
+
+
+def test_hef_matches_the_hand_solved_builder():
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(220):
+        e, f, unchecked = _random_hef_pair(rng)
+        kinds.add((unchecked, e.mode == "q" or f.mode == "q"))
+        assert (build_hef(e, f, unchecked=unchecked).export()
+                == reference_hef(e, f).export())
+    assert len(kinds) == 4
+
+
+@pytest.mark.parametrize("qv", [q, Fraction(3, 2), Fraction(-2)])
+def test_hq_hplus_and_pi_match_the_written_out_builders(qv):
+    fq = matrix_fq(qv)
+    hq = build_hq(qv)
+    assert hq.rules == reference_hef(fq, fq).rules
+    assert build_hplusq(qv).export() == reference_hplusq(qv).export()
+    fp = build_freeprod(qv)
+    written_out = reference_pi_images(qv, fp)
+    assert standard_pi_images(qv, fp) == written_out
+    report = verify_pi(qv)
+    assert report.ok
+    assert report.to_text() == verify_pi(qv, written_out).to_text()
 
 
 def test_u_family_free_but_mixed_family_not():
@@ -256,8 +324,8 @@ def test_basis_count_matches_fusion_dimensions():
 def test_build_aaut_counts_and_samples():
     rel = build_aaut(matrix_fq(q))
     assert len(rel.alphabet.names) == 16
-    assert rel.counts() == {"multiplicative": 64, "measure": 64,
-                            "counit": 4, "trace": 4}
+    assert {name: len(polys) for name, polys in rel.families.items()} == {
+        "multiplicative": 64, "measure": 64, "counit": 4, "trace": 4}
     al = rel.alphabet
     counit_11 = rel.families["counit"][0]
     assert counit_11 == NCPolynomial({
@@ -268,6 +336,41 @@ def test_build_aaut_counts_and_samples():
     assert tr_11.coefficient((al.index("X11^11"),)) == q
     assert tr_11.coefficient((al.index("X22^11"),)) == q ** -1
     assert tr_11.coefficient(()) == -q
+
+
+def _aaut_failures(e, f, unchecked=False):
+    """Per family, how many `build_aaut(f)` relations leave a residual when
+    X_rs^ij is mapped to u_ri.v_sj and the image is reduced in H(E, F)."""
+    rel = build_aaut(f)
+    hef = build_hef(e, f, unchecked=unchecked)
+    g = hef.alphabet.index
+    rng = range(1, f.rows + 1)
+    # build_aaut numbers X_rs^ij in the order of (r, s, i, j)
+    image = [(g(f"u{r}{i}"), g(f"v{s}{j}"))
+             for r, s, i, j in product(rng, repeat=4)]
+    return {name: sum(not reduce(NCPolynomial(
+                [(sum((image[x] for x in m), ()), c)
+                 for m, c in p.terms.items()]), hef).is_zero()
+                      for p in polys)
+            for name, polys in rel.families.items()}
+
+
+@pytest.mark.parametrize("diagonal", [
+    [2, 3], [q ** -1, q], [1, 2, 5], [q, 2, q ** 2]])
+def test_aaut_relations_hold_in_hef(diagonal):
+    # H(F, F) is H(F), and the quantum automorphism relations of (M_n, tr_F)
+    # hold there under X_rs^ij -> u_ri.v_sj
+    f = ExactMatrix.diagonal(diagonal)
+    assert _aaut_failures(f, f) == {"multiplicative": 0, "measure": 0,
+                                    "counit": 0, "trace": 0}
+
+
+def test_aaut_relations_fail_in_a_mismatched_hef():
+    # traces match but E != F: the measure and trace families need E = F
+    e = ExactMatrix.diagonal([Fraction(1, 2), 2])
+    f = ExactMatrix.diagonal([2, Fraction(1, 2)])
+    assert _aaut_failures(e, f, unchecked=True) == {
+        "multiplicative": 0, "measure": 32, "counit": 0, "trace": 4}
 
 
 def test_aaut_rejects_singular():

@@ -12,7 +12,8 @@ from cosovereign import (Alphabet, EnumerationBound, FusionElement,
                          build_slq2, confluent, find_ambiguities,
                          is_free_family, parse_presentation, reduce,
                          reduced_monomials, resolve, q)
-from cosovereign.rewriting import AmbiguityResult, _find_redex, deglex_less
+from cosovereign.rewriting import (AmbiguityResult, _find_redex, deglex_less,
+                                   orient)
 from _helpers import (LONG_LITERAL, needs_digit_limit, random_reduce,
                       reference_parse_rhs, reference_resolve, rhs_texts,
                       scan_find_redex, scan_reduce)
@@ -53,6 +54,32 @@ def test_rule_compatibility_enforced(ab):
         Rule(mono(ab, "a"), poly(ab, {"a": 1}))
     with pytest.raises(ValueError):
         Rule((), NCPolynomial())
+
+
+def test_orient_picks_the_deglex_leading_monomial(ab):
+    # b.a leads a.b (same degree, larger first letter) and a.a.a leads both
+    rule = orient(poly(ab, {"a.b": 1, "b.a": -1, "": 2}))
+    assert rule == Rule(mono(ab, "b.a"), poly(ab, {"a.b": 1, "": 2}))
+    rule = orient(poly(ab, {"b.b": 1, "a.a.a": 3, "a": 1}))
+    assert rule.lhs == mono(ab, "a.a.a")
+
+
+@pytest.mark.parametrize("lead,scale", [
+    (Fraction(2, 3), Fraction(-3, 2)), (4, Fraction(-1, 4)), (q, -q ** -1)])
+def test_orient_divides_exactly_by_the_leading_coefficient(ab, lead, scale):
+    rule = orient(NCPolynomial({mono(ab, "b.a"): lead, mono(ab, "a"): 1,
+                                (): Fraction(1, 2)}))
+    assert rule.rhs == NCPolynomial({mono(ab, "a"): scale,
+                                     (): Fraction(1, 2) * scale})
+    for c in rule.rhs.terms.values():
+        assert type(c) is type(scale)
+
+
+def test_orient_rejects_zero_and_constant_relations(ab):
+    with pytest.raises(ValueError, match="zero relation"):
+        orient(NCPolynomial())
+    with pytest.raises(ValueError, match="nonempty monomial"):
+        orient(NCPolynomial({(): Fraction(3)}))
 
 
 def test_records_keep_fields_repr_and_immutability(ab):

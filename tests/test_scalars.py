@@ -170,6 +170,7 @@ def test_mixed_mode_arithmetic():
     assert (1 - q) * (1 + q) == 1 - q ** 2
     assert q ** -2 == 1 / (q * q)
     assert (q + 1) / (q + 1) == 1
+    assert (q + 2) / (q + 1) - 2 == -q / (q + 1)
     with pytest.raises(ZeroDivisionError):
         q / (q - q)
 
@@ -414,11 +415,18 @@ def _assert_same_form(got, expected):
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.one_of(_laurents, _generals).filter(lambda x: type(x) is RatFunc),
        _constants, st.integers(-3, 3))
+# x - 2 = -q/(q+1): the numerator gains a factor q
+@example((q + 2) / (q + 1), 2, 0)
 def test_gcd_free_results_match_the_constructor(x, c, k):
-    """Negation, inversion, powers and scaling by a constant build their
-    results without a gcd; each equals the one the constructor builds."""
+    """Negation, inversion, powers, scaling by a constant and adding a
+    constant build their results without a gcd; each equals the one the
+    constructor builds."""
     top, bot, val = x.top, x.bot, x.val
     _assert_same_form(-x, RatFunc(-top, bot, val))
+    num, den = _parts(x)
+    _assert_same_form(x + c, RatFunc(num + den * Poly([c]), den))
+    _assert_same_form(c - x, RatFunc(den * Poly([c]) - num, den))
+    _assert_same_form(x - c, RatFunc(num - den * Poly([c]), den))
     _assert_same_form(1 / x, RatFunc(bot, top, -val))
     _assert_same_form(x * c, RatFunc(top * Poly([c]), bot, val))
     _assert_same_form(c * x, RatFunc(top * Poly([c]), bot, val))
