@@ -14,12 +14,12 @@ from .repring import (RepElement, alt_dim, check_alt_word, clebsch_gordan,
                       render_alt_word, so3_fuse)
 from .rewriting import (Alphabet, Ambiguity, ConfluenceReport, EnumerationBound,
                         NCPolynomial, RewriteSystem, Rule, RuleOrderError,
-                        apply_rule_at, confluent, find_ambiguities,
-                        is_free_family, orient, parse_presentation, reduce,
-                        reduced_monomials, resolve)
-from .presentations import (AautRelations, build_aaut, build_freeprod,
-                            build_hef, build_hplusq, build_hq, build_slq2,
-                            matrix_fq, standard_pi_images, trace_conditions,
-                            verify_pi)
+                        apply_rule_at, check_morphism, confluent,
+                        find_ambiguities, is_free_family, orient,
+                        parse_presentation, reduce, reduced_monomials, resolve)
+from .presentations import (AAUT_MAX_N, AautRelations, build_aaut,
+                            build_freeprod, build_hef, build_hplusq, build_hq,
+                            build_slq2, matrix_fq, standard_pi_images,
+                            trace_conditions, verify_pi)
 
 __version__ = "0.1.0"

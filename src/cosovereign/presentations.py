@@ -16,13 +16,14 @@ t.ti -> ti.t and ti.t -> 1.  The quantum SL(2) coordinate algebra and its
 free product with Laurent polynomials in z have the standard deg-lex
 quadratic rules.
 
-The morphism check substitutes the images x -> z.x and y -> c x.zi
+`verify_pi` is one `rewriting.check_morphism` call: it substitutes the
+images x -> z.x and y -> c x.zi
 
     a -> z.a   b -> z.b   c -> z.c   d -> z.d
     as -> d.zi   bs -> -q^-1 c.zi   cs -> -q b.zi   ds -> a.zi
 
-into all sixteen H(q) relations and reduces in the free product; every
-residual must vanish identically.
+into all sixteen H(q) relations, each rule read as lhs - rhs, and reduces
+in the free product; every residual must vanish identically.
 """
 
 from __future__ import annotations
@@ -31,14 +32,23 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
-from .matrices import ExactMatrix, inverse, trace
+from .matrices import ExactMatrix, SingularMatrixError, inverse, trace
 from .rewriting import (Alphabet, NCPolynomial, RewriteSystem, Rule,
-                        orient, reduce)
+                        check_morphism, orient)
+
+
+def _inverse_trace(m):
+    """tr(M^-1) of a lower-triangular M: the sum of the 1/M_ii."""
+    if not _is_lower_triangular(m):
+        raise ValueError("trace conditions need lower-triangular matrices")
+    if any(m[i, i] == 0 for i in range(m.rows)):
+        raise SingularMatrixError("matrix is singular (zero diagonal entry)")
+    return sum((1 / m[i, i] for i in range(m.rows)), Fraction(0))
 
 
 def trace_conditions(e, f):
-    """tr(E) = tr(F) and tr(E^-1) = tr(F^-1), exactly."""
-    return trace(e) == trace(f) and trace(inverse(e)) == trace(inverse(f))
+    """tr(E) = tr(F) and tr(E^-1) = tr(F^-1), for lower-triangular E, F."""
+    return trace(e) == trace(f) and _inverse_trace(e) == _inverse_trace(f)
 
 
 def _check_q(qv):
@@ -212,59 +222,16 @@ def standard_pi_images(qv, freeprod):
     return images
 
 
-PiCheck = namedtuple("PiCheck", "relation residual ok")
-
-
-class PiReport:
-    def __init__(self, alphabet, checks):
-        self.alphabet, self.checks = alphabet, checks
-
-    @property
-    def ok(self):
-        return all(c.ok for c in self.checks)
-
-    def to_text(self):
-        lines = [f"{'ok ' if c.ok else 'FAIL'} {c.relation}"
-                 + ("" if c.ok else
-                    f"  residual: {c.residual.render(self.alphabet)}")
-                 for c in self.checks]
-        lines.append(f"morphism well-defined: {self.ok}")
-        return "\n".join(lines)
-
-
-def verify_pi(qv, image_overrides=None):
-    """Check the algebra-morphism property of the free-product embedding.
-
-    Substitutes the generator images into every H(q) relation and reduces in
-    the free product; returns a report with one residual per relation,
-    rendered over the free product's alphabet.
-    `image_overrides` replaces named generator images (used to demonstrate
-    that a wrong image leaves a nonzero residual).
-    """
+def verify_pi(qv):
+    """`check_morphism` of the sixteen H(q) relations under the standard
+    images in the free product: its alphabet and one (rule text, residual)
+    per relation."""
     qv = _check_q(qv)
     hq = build_hq(qv)
     fp = build_freeprod(qv)
     images = standard_pi_images(qv, fp)
-    if image_overrides:
-        images.update(image_overrides)
-    by_index = [images[name] for name in hq.alphabet.names]
-
-    def substituted(poly):
-        out = NCPolynomial()
-        for mono, coeff in poly.terms.items():
-            term = NCPolynomial({(): coeff})
-            for letter in mono:
-                term = term * by_index[letter]
-            out = out + term
-        return out
-
-    checks = []
-    for rule in hq.rules:
-        image = substituted(NCPolynomial.monomial(rule.lhs) - rule.rhs)
-        residual = reduce(image, fp)
-        checks.append(PiCheck(rule.render(hq.alphabet), residual,
-                              residual.is_zero()))
-    return PiReport(fp.alphabet, checks)
+    return check_morphism(hq.relations(),
+                          [images[name] for name in hq.alphabet.names], fp)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +242,25 @@ def verify_pi(qv, image_overrides=None):
 #: Relation data only: no orientation or confluence claim is made.
 AautRelations = namedtuple("AautRelations", "alphabet families")
 
+#: Hard bound on n for build_aaut; a dense F gives about n^8 terms.
+AAUT_MAX_N = 5
+
 
 def build_aaut(f):
     """The four relation families of the quantum automorphism algebra of
-    (M_n, tr_F), emitted as polynomials over the n^2 generators X_rs^ij."""
+    (M_n, tr_F), emitted as polynomials over the n^4 generators X_rs^ij."""
     if not f.is_square():
         raise ValueError("F must be square")
     n = f.rows
+    if n > AAUT_MAX_N:
+        raise ValueError(f"aaut relations bound exceeded: F is {n}x{n}, "
+                         f"n > {AAUT_MAX_N}")
     finv = inverse(f)
 
-    fmt = "X{0}{1}^{2}{3}" if n <= 9 else "X{0}_{1}^{2}_{3}"
+    # n <= AAUT_MAX_N < 10, so every index is one digit
     rng = range(1, n + 1)
     idx = {key: pos for pos, key in enumerate(product(rng, repeat=4))}
-    alphabet = Alphabet(fmt.format(*key) for key in idx)
+    alphabet = Alphabet("X{0}{1}^{2}{3}".format(*key) for key in idx)
 
     def x(lower, upper):
         return idx[lower + upper]

@@ -192,6 +192,12 @@ class RewriteSystem:
         lines.extend(rule.render(self.alphabet) for rule in self.rules)
         return "\n".join(lines) + "\n"
 
+    def relations(self):
+        """Each rule as (its text, lhs - rhs), the relation it presents."""
+        return [(rule.render(self.alphabet),
+                 NCPolynomial.monomial(rule.lhs) - rule.rhs)
+                for rule in self.rules]
+
 
 def _find_redex(m, system):
     """(pos, rule) of the leftmost redex, or None.
@@ -340,6 +346,22 @@ def confluent(system):
         ok, residual = resolve(amb, system)
         results.append(AmbiguityResult(amb, ok, residual))
     return ConfluenceReport(system.alphabet, results)
+
+
+def check_morphism(relations, images, target):
+    """The target's alphabet and, per (label, relation), the label and the
+    normal form in `target` of the relation with `images[g]` substituted
+    for each letter g.  A zero residual puts that image in the ideal of
+    `target`; for a confluent target, a nonzero one disproves the map."""
+    def image(mono, coeff):
+        term = NCPolynomial({(): coeff})
+        for letter in mono:
+            term = term * images[letter]
+        return term
+    return target.alphabet, [
+        (label, reduce(sum((image(*t) for t in p.terms.items()),
+                           NCPolynomial()), target))
+        for label, p in relations]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ its one-pass writers replaced, reducers that check the rewriting engine (a
 linear scan over every rule, and rewriting at random redexes), the H(E, F)
 builder with each relation family solved by hand for its leading monomial
 and the H+(q) t-rules and free-product images written out one by one, which
-`orient` and the star-pair table replaced, and the `cosov` parser with every
+`orient` and the star-pair table replaced, the morphism check of the H(q)
+relations under any free-product images, and the `cosov` parser with every
 subparser built up front."""
 
 import argparse
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import strategies as st
 
 from cosovereign import (Alphabet, ExactMatrix, FusionElement, ParseError,
-                         Poly, RatFunc, RewriteSystem, Rule, bar, build_hq,
+                         Poly, RatFunc, RewriteSystem, Rule, bar,
+                         build_freeprod, build_hq, check_morphism,
                          fusion_table, inverse, is_generic, similar, word_str)
 from cosovereign.cli import COMMANDS
 from cosovereign.rewriting import (NCPolynomial, apply_rule_at, deglex_key,
@@ -288,6 +290,15 @@ def reference_pi_images(qv, freeprod):
         "cs": NCPolynomial({(g("b"), zi): -qv}),
         "ds": NCPolynomial({(g("a"), zi): one}),
     }
+
+
+def pi_check(qv, images):
+    """`check_morphism` of the H(q) relations, as `verify_pi` reads them,
+    under `images`: free-product polynomials keyed by H(q) generator name."""
+    hq = build_hq(qv)
+    return check_morphism(hq.relations(),
+                          [images[name] for name in hq.alphabet.names],
+                          build_freeprod(qv))
 
 
 def reference_iso_witness(e, f):

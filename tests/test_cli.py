@@ -389,6 +389,21 @@ def test_aaut_relations(tmp_path, capsys):
     assert any("X11^11" in rel for rel in data["families"]["counit"])
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2 2\n1 1\n1 1\n", "singular"),
+    ("2 3\n1 0 0\n0 1 0\n", "F must be square"),
+    ("6 6\n" + "".join(" ".join("1" if i == j else "0" for j in range(6))
+                       + "\n" for i in range(6)), "n > 5")],
+    ids=["singular", "non-square", "over-bound"])
+def test_aaut_relations_refuses_bad_f(tmp_path, capsys, text, message):
+    path = tmp_path / "f.mat"
+    path.write_text(text)
+    code, out, err = run(capsys, "aaut-relations", "--F", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "iso", "--E", "/nonexistent", "--F", "/nonexistent")
     assert code == 2

@@ -5,12 +5,15 @@ from itertools import product
 
 import pytest
 
-from cosovereign import (ExactMatrix, NCPolynomial, build_aaut, build_freeprod,
+from cosovereign import (AAUT_MAX_N, ExactMatrix, NCPolynomial,
+                         SingularMatrixError, build_aaut, build_freeprod,
                          build_hef, build_hplusq, build_hq, build_slq2,
-                         confluent, find_ambiguities, inverse, is_free_family,
-                         matrix_fq, reduce, reduced_monomials, trace,
-                         standard_pi_images, trace_conditions, verify_pi, q)
-from _helpers import reference_hef, reference_hplusq, reference_pi_images
+                         check_morphism, confluent, find_ambiguities, inverse,
+                         is_free_family, matrix_fq, reduce, reduced_monomials,
+                         trace, standard_pi_images, trace_conditions,
+                         verify_pi, q)
+from _helpers import (pi_check, reference_hef, reference_hplusq,
+                      reference_pi_images)
 
 E22 = ExactMatrix.diagonal([1, 2])
 F22 = ExactMatrix([[1, 0], [1, 2]])
@@ -20,6 +23,10 @@ def test_trace_conditions():
     assert trace_conditions(matrix_fq(q), matrix_fq(q))
     assert trace_conditions(E22, F22)
     assert not trace_conditions(ExactMatrix.identity(2), E22)
+    with pytest.raises(ValueError, match="lower-triangular"):
+        trace_conditions(E22, ExactMatrix([[1, 1], [0, 2]]))
+    with pytest.raises(SingularMatrixError):
+        trace_conditions(E22, ExactMatrix([[3, 0], [1, 0]]))
 
 
 def test_build_hef_preconditions():
@@ -99,6 +106,24 @@ def _random_hef_pair(rng):
     return ExactMatrix.diagonal(d_e), ExactMatrix(f), unchecked
 
 
+def test_trace_conditions_match_the_inverse_traces():
+    # tr(M^-1) of a triangular M read off its diagonal agrees with the trace
+    # of the eliminated inverse, on pairs that match and that do not
+    rng = random.Random(5)
+    kinds = set()
+    for _ in range(120):
+        e, f, _ = _random_hef_pair(rng)
+        if rng.random() < 0.3:
+            e = ExactMatrix([[rng.choice([0, _random_scalar(rng, True)])
+                              if j < i else e[i, j] for j in range(e.cols)]
+                             for i in range(e.rows)])
+        expected = (trace(e) == trace(f)
+                    and trace(inverse(e)) == trace(inverse(f)))
+        assert trace_conditions(e, f) == expected
+        kinds.add((expected, e.mode == "q" or f.mode == "q"))
+    assert len(kinds) == 4
+
+
 def test_hef_matches_the_hand_solved_builder():
     rng = random.Random(17)
     kinds = set()
@@ -119,9 +144,9 @@ def test_hq_hplus_and_pi_match_the_written_out_builders(qv):
     fp = build_freeprod(qv)
     written_out = reference_pi_images(qv, fp)
     assert standard_pi_images(qv, fp) == written_out
-    report = verify_pi(qv)
-    assert report.ok
-    assert report.to_text() == verify_pi(qv, written_out).to_text()
+    alphabet, checks = verify_pi(qv)
+    assert all(r.is_zero() for _, r in checks)
+    assert (alphabet, checks) == pi_check(qv, written_out)
 
 
 def test_u_family_free_but_mixed_family_not():
@@ -288,17 +313,51 @@ def test_build_freeprod():
 
 
 def test_verify_pi_symbolic():
-    report = verify_pi(q)
-    assert report.ok
-    assert len(report.checks) == 16
-    assert all(c.residual.is_zero() for c in report.checks)
+    alphabet, checks = verify_pi(q)
+    assert alphabet == build_freeprod(q).alphabet
+    assert [label for label, _ in checks] == [
+        text for text, _ in build_hq(q).relations()]
+    assert all(r.is_zero() for _, r in checks)
 
 
 def test_verify_pi_corrupted_image():
     fp = build_freeprod(q)
     zc = NCPolynomial.monomial((fp.alphabet.index("z"), fp.alphabet.index("c")))
-    report = verify_pi(q, image_overrides={"b": zc})
-    assert not report.ok
+    images = standard_pi_images(q, fp)
+    images["b"] = zc
+    _, checks = pi_check(q, images)
+    assert not all(r.is_zero() for _, r in checks)
+
+
+@pytest.mark.parametrize("qv", [q, Fraction(3, 2), Fraction(-2)])
+@pytest.mark.parametrize("build", [build_hq, build_hplusq, build_slq2,
+                                   build_freeprod])
+def test_identity_map_leaves_no_residual(build, qv):
+    # every letter to itself: a rule's relation reduces to zero unless an
+    # earlier rule shares its left side and the two right sides disagree
+    system = build(qv)
+    letters = [NCPolynomial.monomial((g,)) for g in range(len(system.alphabet))]
+    alphabet, checks = check_morphism(system.relations(), letters, system)
+    assert alphabet == system.alphabet
+    assert len(checks) == len(system.rules)
+    assert all(r.is_zero() for _, r in checks)
+
+
+def test_identity_map_residual_is_the_inclusion_residual():
+    # mismatched traces: rules 4 and 8 share the left side v11.u11 and
+    # disagree, so rule 8 alone leaves a residual, the one `confluent`
+    # reports for the inclusion (4, 8)
+    system = build_hef(E22, ExactMatrix([[Fraction(1, 2), 0], [1, -2]]),
+                       unchecked=True)
+    letters = [NCPolynomial.monomial((g,)) for g in range(len(system.alphabet))]
+    _, checks = check_morphism(system.relations(), letters, system)
+    assert [i for i, (_, r) in enumerate(checks) if not r.is_zero()] == [8]
+    residual = checks[8][1]
+    assert residual.render(system.alphabet) == "9"
+    inclusion = [r for r in confluent(system).results
+                 if r.ambiguity.kind == "inclusion"
+                 and (r.ambiguity.i, r.ambiguity.j) == (4, 8)]
+    assert [r.residual for r in inclusion] == [residual]
 
 
 def test_basis_count_matches_fusion_dimensions():
@@ -346,13 +405,15 @@ def _aaut_failures(e, f, unchecked=False):
     g = hef.alphabet.index
     rng = range(1, f.rows + 1)
     # build_aaut numbers X_rs^ij in the order of (r, s, i, j)
-    image = [(g(f"u{r}{i}"), g(f"v{s}{j}"))
-             for r, s, i, j in product(rng, repeat=4)]
-    return {name: sum(not reduce(NCPolynomial(
-                [(sum((image[x] for x in m), ()), c)
-                 for m, c in p.terms.items()]), hef).is_zero()
-                      for p in polys)
-            for name, polys in rel.families.items()}
+    images = [NCPolynomial.monomial((g(f"u{r}{i}"), g(f"v{s}{j}")))
+              for r, s, i, j in product(rng, repeat=4)]
+    _, checks = check_morphism([(name, p) for name, polys
+                                in rel.families.items() for p in polys],
+                               images, hef)
+    failures = dict.fromkeys(rel.families, 0)
+    for name, residual in checks:
+        failures[name] += not residual.is_zero()
+    return failures
 
 
 @pytest.mark.parametrize("diagonal", [
@@ -374,5 +435,13 @@ def test_aaut_relations_fail_in_a_mismatched_hef():
 
 
 def test_aaut_rejects_singular():
-    with pytest.raises(Exception):
+    with pytest.raises(SingularMatrixError):
         build_aaut(ExactMatrix([[1, 1], [1, 1]]))
+    with pytest.raises(ValueError, match="square"):
+        build_aaut(ExactMatrix([[1, 0, 0], [0, 1, 0]]))
+    # the bound is checked before F is inverted, so a singular F past it
+    # names the bound
+    with pytest.raises(ValueError, match=f"n > {AAUT_MAX_N}"):
+        build_aaut(ExactMatrix.diagonal([0] * (AAUT_MAX_N + 1)))
+    assert len(build_aaut(ExactMatrix.identity(AAUT_MAX_N)).families[
+        "counit"]) == AAUT_MAX_N ** 2
