@@ -25,8 +25,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .scalars import (NAME, Combination, ParseError, add_term,
-                      parse_expression, render_terms)
+from .scalars import (NAME, Combination, ParseError, parse_expression,
+                      render_terms)
 
 
 def _name_error(name, seen):
@@ -232,20 +232,35 @@ def reduce(p, system):
     Terminates for order-compatible rules because every step replaces a
     monomial by strictly smaller ones.  Each monomial is rewritten at its
     leftmost redex, so its normal form does not depend on the rest of `p`.
+    `work` is keyed by `deglex_key`, so `max` picks the deg-lex-largest
+    monomial with no key function; every term a step adds is smaller than
+    the one it rewrites, so a popped monomial never comes back.
     """
-    work = dict(p.terms)
+    work = {(len(m), m): c for m, c in p.terms.items()}
     done = {}
     while work:
-        m = max(work, key=deglex_key)
-        c = work.pop(m)
+        key = max(work)
+        c = work.pop(key)
+        m = key[1]
         hit = _find_redex(m, system)
         if hit is None:
-            add_term(done, m, c)
+            done[m] = c
             continue
         pos, rule = hit
         a, b = m[:pos], m[pos + len(rule.lhs):]
         for t, cc in rule.rhs.terms.items():
-            add_term(work, a + t + b, c * cc)
+            w = a + t + b
+            key = (len(w), w)
+            v = c if cc == 1 else -c if cc == -1 else c * cc
+            cur = work.get(key)
+            if cur is None:
+                work[key] = v
+            else:
+                cur += v
+                if cur:
+                    work[key] = cur
+                else:
+                    del work[key]
     return NCPolynomial._of(done)
 
 
@@ -265,23 +280,30 @@ def find_ambiguities(rules):
     Overlaps are ordered pairs (a proper suffix of lhs_i equals a proper
     prefix of lhs_j, including i == j); inclusions place the shorter lhs
     inside the longer one, and two distinct rules with identical lhs give a
-    single inclusion.
+    single inclusion.  Each rule finds its partners through two indexes,
+    one from every proper lhs prefix and one from every lhs to its rules:
+    the overlaps by its proper suffixes, the inclusions by its factors.
     """
+    prefixes, lhss = {}, {}
+    for j, rule in enumerate(rules):
+        lj = rule.lhs
+        for k in range(1, len(lj)):
+            prefixes.setdefault(lj[:k], []).append(j)
+        lhss.setdefault(lj, []).append(j)
     out = []
-    for i, ri in enumerate(rules):
-        for j, rj in enumerate(rules):
-            li, lj = ri.lhs, rj.lhs
-            for k in range(1, min(len(li), len(lj))):
-                if li[len(li) - k:] == lj[:k]:
-                    out.append(Ambiguity("overlap", i, j,
-                                         li + lj[k:], len(li) - k))
-            if i == j:
-                continue
-            if len(lj) < len(li):
-                for p in range(len(li) - len(lj) + 1):
-                    if li[p:p + len(lj)] == lj:
-                        out.append(Ambiguity("inclusion", i, j, li, p))
-            elif len(lj) == len(li) and li == lj and i < j:
+    for i, rule in enumerate(rules):
+        li = rule.lhs
+        n = len(li)
+        for p in range(1, n):
+            for j in prefixes.get(li[p:], ()):
+                out.append(Ambiguity("overlap", i, j,
+                                     li + rules[j].lhs[n - p:], p))
+        for p in range(n):
+            for end in range(p + 1, n + 1 - (p == 0)):
+                for j in lhss.get(li[p:end], ()):
+                    out.append(Ambiguity("inclusion", i, j, li, p))
+        for j in lhss[li]:
+            if j > i:
                 out.append(Ambiguity("inclusion", i, j, li, 0))
     out.sort(key=lambda a: (a.kind, deglex_key(a.witness), a.i, a.j))
     return out
@@ -306,9 +328,6 @@ class ConfluenceReport:
     @property
     def ok(self):
         return all(r.resolved for r in self.results)
-
-    def failures(self):
-        return [r for r in self.results if not r.resolved]
 
     def counts(self):
         inc = sum(1 for r in self.results if r.ambiguity.kind == "inclusion")

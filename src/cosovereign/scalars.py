@@ -72,7 +72,7 @@ class Poly:
         lc = self.leading()
         if lc == 1:
             return self
-        return Poly(c / lc for c in self.coeffs)
+        return _poly(tuple(c / lc for c in self.coeffs))
 
     def shift(self, k):
         """Multiply by q**k, k >= 0."""
@@ -87,17 +87,21 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        while out and not out[-1]:
+            out.pop()
+        return _poly(tuple(out))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Poly(-c for c in self.coeffs)
+        return _poly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, Fraction) or isinstance(other, int):
-            return Poly(c * other for c in self.coeffs)
+            if not other:
+                return _P_ZERO
+            return _poly(tuple(c * other for c in self.coeffs))
         xs, ys = self.coeffs, other.coeffs
         if not xs or not ys:
             return _P_ZERO
@@ -273,8 +277,12 @@ class RatFunc:
         o_val, o_top, o_bot = o
         # bring both tops onto the smaller power of q
         val = min(self.val, o_val)
-        a = self.top.shift(self.val - val) * o_bot
-        b = o_top.shift(o_val - val) * self.bot
+        a = self.top.shift(self.val - val)
+        b = o_top.shift(o_val - val)
+        if len(self.bot.coeffs) == len(o_bot.coeffs) == 1:
+            # two Laurent scalars: the sum needs no gcd
+            return _laurent(val, a + b if sign > 0 else a - b)
+        a, b = a * o_bot, b * self.bot
         return RatFunc(a + b if sign > 0 else a - b, self.bot * o_bot, val)
 
     def __add__(self, other):
@@ -301,6 +309,8 @@ class RatFunc:
         if o is None:
             return NotImplemented
         o_val, o_top, o_bot = o
+        if len(self.bot.coeffs) == len(o_bot.coeffs) == 1:
+            return _laurent(self.val + o_val, self.top * o_top)
         return RatFunc(self.top * o_top, self.bot * o_bot, self.val + o_val)
 
     __rmul__ = __mul__
@@ -345,6 +355,19 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({format_scalar(self)!r})"
+
+
+def _laurent(val, top):
+    """``q**val * top`` built without a gcd, since its denominator is 1: the
+    Fraction when it does not depend on q (zero included), else the Laurent
+    ``RatFunc`` with the factors q of `top` moved into `val`."""
+    if not top.coeffs:
+        return _F_ZERO
+    i, top = _unit_part(top)
+    val += i
+    if not val and len(top.coeffs) == 1:
+        return top.coeffs[0]
+    return RatFunc._of(val, top, _P_ONE)
 
 
 #: The indeterminate, as a scalar.

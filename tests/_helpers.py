@@ -1,15 +1,16 @@
-"""Shared generators for randomized exact-matrix tests, a reference
-recurrence for label dimensions, the splitting sum and the four-similarity
-isomorphism search that the closed forms replaced, reference readers for
-scalars and rule right sides, the printer of scalars and combinations that
-`render_terms` replaced, the `cosov table` JSON payload and text lines that
-its one-pass writers replaced, reducers that check the rewriting engine (a
-linear scan over every rule, and rewriting at random redexes), the H(E, F)
-builder with each relation family solved by hand for its leading monomial
-and the H+(q) t-rules and free-product images written out one by one, which
-`orient` and the star-pair table replaced, the morphism check of the H(q)
-relations under any free-product images, and the `cosov` parser with every
-subparser built up front."""
+"""Shared generators for randomized exact-matrix tests and H(E, F) pairs,
+a reference recurrence for label dimensions, the splitting sum and the
+four-similarity isomorphism search that the closed forms replaced,
+reference readers for scalars and rule right sides, the printer of scalars
+and combinations that `render_terms` replaced, the `cosov table` JSON
+payload and text lines that its one-pass writers replaced, reducers that
+check the rewriting engine (a linear scan over every rule, and rewriting at
+random redexes), the ambiguity search over every pair of rules that the lhs
+indexes replaced, the H(E, F) builder with each relation family solved by
+hand for its leading monomial and the H+(q) t-rules and free-product images
+written out one by one, which `orient` and the star-pair table replaced,
+the morphism check of the H(q) relations under any free-product images, and
+the `cosov` parser with every subparser built up front."""
 
 import argparse
 import sys
@@ -21,10 +22,11 @@ from hypothesis import strategies as st
 from cosovereign import (Alphabet, ExactMatrix, FusionElement, ParseError,
                          Poly, RatFunc, RewriteSystem, Rule, bar,
                          build_freeprod, build_hq, check_morphism,
-                         fusion_table, inverse, is_generic, similar, word_str)
+                         fusion_table, inverse, is_generic, q, similar,
+                         word_str)
 from cosovereign.cli import COMMANDS
-from cosovereign.rewriting import (NCPolynomial, apply_rule_at, deglex_key,
-                                   deglex_less)
+from cosovereign.rewriting import (Ambiguity, NCPolynomial, apply_rule_at,
+                                   deglex_key, deglex_less)
 from cosovereign.scalars import add_term
 
 
@@ -72,6 +74,47 @@ def generic_integer_matrix(rng, n, trace, det_param=None):
         raise ValueError("sizes 2..4 only")
     p = random_unimodular(rng, n)
     return p * companion(coeffs) * inverse(p)
+
+
+def random_scalar(rng, symbolic):
+    """A nonzero exact scalar; with `symbolic`, often one that depends on q."""
+    while True:
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        if symbolic and rng.random() < 0.6:
+            c = c * q ** rng.randint(-2, 2) + rng.randint(-2, 2)
+            if rng.random() < 0.3:
+                c = c / (q + rng.randint(1, 3))
+        if c:
+            return c
+
+
+def random_hef_pair(rng, lo=2, hi=5):
+    """(E, F, unchecked): E diagonal and F lower-triangular, m and n from
+    `lo` to `hi`.  When m - n is even, the two diagonals often share their
+    entries, the longer one adding pairs (x, -x), so both trace conditions
+    hold."""
+    m, n = rng.randint(lo, hi), rng.randint(lo, hi)
+    symbolic = rng.random() < 0.5
+    if (m - n) % 2 or rng.random() < 0.3:
+        d_e = [random_scalar(rng, symbolic) for _ in range(m)]
+        d_f = [random_scalar(rng, symbolic) for _ in range(n)]
+        unchecked = True
+    else:
+        d_e = [random_scalar(rng, symbolic) for _ in range(min(m, n))]
+        d_f = list(d_e)
+        for _ in range(abs(m - n) // 2):
+            x = random_scalar(rng, symbolic)
+            (d_e if m > n else d_f).extend((x, -x))
+        rng.shuffle(d_e)
+        rng.shuffle(d_f)
+        unchecked = False
+    f = [[0] * n for _ in range(n)]
+    for i in range(n):
+        f[i][i] = d_f[i]
+        for j in range(i):
+            if rng.random() < 0.5:
+                f[i][j] = random_scalar(rng, symbolic)
+    return ExactMatrix.diagonal(d_e), ExactMatrix(f), unchecked
 
 
 def normalized_2x2(t):
@@ -173,6 +216,28 @@ def scan_reduce(p, rules):
         for t, cc in rule.rhs.terms.items():
             add_term(work, a + t + b, c * cc)
     return NCPolynomial(done)
+
+
+def scan_ambiguities(rules):
+    """`find_ambiguities` by a scan over every ordered pair of rules."""
+    out = []
+    for i, ri in enumerate(rules):
+        for j, rj in enumerate(rules):
+            li, lj = ri.lhs, rj.lhs
+            for k in range(1, min(len(li), len(lj))):
+                if li[len(li) - k:] == lj[:k]:
+                    out.append(Ambiguity("overlap", i, j,
+                                         li + lj[k:], len(li) - k))
+            if i == j:
+                continue
+            if len(lj) < len(li):
+                for p in range(len(li) - len(lj) + 1):
+                    if li[p:p + len(lj)] == lj:
+                        out.append(Ambiguity("inclusion", i, j, li, p))
+            elif len(lj) == len(li) and li == lj and i < j:
+                out.append(Ambiguity("inclusion", i, j, li, 0))
+    out.sort(key=lambda a: (a.kind, deglex_key(a.witness), a.i, a.j))
+    return out
 
 
 def reference_resolve(amb, rules):

@@ -12,8 +12,8 @@ from cosovereign import (AAUT_MAX_N, ExactMatrix, NCPolynomial,
                          is_free_family, matrix_fq, reduce, reduced_monomials,
                          trace, standard_pi_images, trace_conditions,
                          verify_pi, q)
-from _helpers import (pi_check, reference_hef, reference_hplusq,
-                      reference_pi_images)
+from _helpers import (pi_check, random_hef_pair, random_scalar,
+                      reference_hef, reference_hplusq, reference_pi_images)
 
 E22 = ExactMatrix.diagonal([1, 2])
 F22 = ExactMatrix([[1, 0], [1, 2]])
@@ -66,55 +66,15 @@ def test_hef_ambiguity_census_and_confluence(e, f, m, n):
     assert report.ok
 
 
-def _random_scalar(rng, symbolic):
-    """A nonzero exact scalar; with `symbolic`, often one that depends on q."""
-    while True:
-        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        if symbolic and rng.random() < 0.6:
-            c = c * q ** rng.randint(-2, 2) + rng.randint(-2, 2)
-            if rng.random() < 0.3:
-                c = c / (q + rng.randint(1, 3))
-        if c:
-            return c
-
-
-def _random_hef_pair(rng):
-    """(E, F, unchecked): E diagonal and F lower-triangular, m and n from 2
-    to 5.  When m - n is even, the two diagonals often share their entries,
-    the longer one adding pairs (x, -x), so both trace conditions hold."""
-    m, n = rng.randint(2, 5), rng.randint(2, 5)
-    symbolic = rng.random() < 0.5
-    if (m - n) % 2 or rng.random() < 0.3:
-        d_e = [_random_scalar(rng, symbolic) for _ in range(m)]
-        d_f = [_random_scalar(rng, symbolic) for _ in range(n)]
-        unchecked = True
-    else:
-        d_e = [_random_scalar(rng, symbolic) for _ in range(min(m, n))]
-        d_f = list(d_e)
-        for _ in range(abs(m - n) // 2):
-            x = _random_scalar(rng, symbolic)
-            (d_e if m > n else d_f).extend((x, -x))
-        rng.shuffle(d_e)
-        rng.shuffle(d_f)
-        unchecked = False
-    f = [[0] * n for _ in range(n)]
-    for i in range(n):
-        f[i][i] = d_f[i]
-        for j in range(i):
-            if rng.random() < 0.5:
-                f[i][j] = _random_scalar(rng, symbolic)
-    return ExactMatrix.diagonal(d_e), ExactMatrix(f), unchecked
-
-
 def test_trace_conditions_match_the_inverse_traces():
     # tr(M^-1) of a triangular M read off its diagonal agrees with the trace
     # of the eliminated inverse, on pairs that match and that do not
     rng = random.Random(5)
     kinds = set()
     for _ in range(120):
-        e, f, _ = _random_hef_pair(rng)
+        e, f, _ = random_hef_pair(rng)
         if rng.random() < 0.3:
-            e = ExactMatrix([[rng.choice([0, _random_scalar(rng, True)])
+            e = ExactMatrix([[rng.choice([0, random_scalar(rng, True)])
                               if j < i else e[i, j] for j in range(e.cols)]
                              for i in range(e.rows)])
         expected = (trace(e) == trace(f)
@@ -128,7 +88,7 @@ def test_hef_matches_the_hand_solved_builder():
     rng = random.Random(17)
     kinds = set()
     for _ in range(220):
-        e, f, unchecked = _random_hef_pair(rng)
+        e, f, unchecked = random_hef_pair(rng)
         kinds.add((unchecked, e.mode == "q" or f.mode == "q"))
         assert (build_hef(e, f, unchecked=unchecked).export()
                 == reference_hef(e, f).export())

@@ -8,14 +8,16 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 from cosovereign import (Alphabet, EnumerationBound, FusionElement,
                          NCPolynomial, ParseError, RepElement, RewriteSystem,
-                         Rule, RuleOrderError, apply_rule_at, build_hq,
-                         build_slq2, confluent, find_ambiguities,
-                         is_free_family, parse_presentation, reduce,
-                         reduced_monomials, resolve, q)
+                         Rule, RuleOrderError, apply_rule_at, build_freeprod,
+                         build_hef, build_hplusq, build_hq, build_slq2,
+                         confluent, find_ambiguities, is_free_family,
+                         parse_presentation, reduce, reduced_monomials,
+                         resolve, q)
 from cosovereign.rewriting import (AmbiguityResult, _find_redex, deglex_less,
                                    orient)
-from _helpers import (LONG_LITERAL, needs_digit_limit, random_reduce,
-                      reference_parse_rhs, reference_resolve, rhs_texts,
+from _helpers import (LONG_LITERAL, needs_digit_limit, random_hef_pair,
+                      random_reduce, random_scalar, reference_parse_rhs,
+                      reference_resolve, rhs_texts, scan_ambiguities,
                       scan_find_redex, scan_reduce)
 
 
@@ -146,7 +148,7 @@ def test_inclusion_proper_factor(ab):
     assert [a.kind for a in ambs] == ["inclusion"]
     report = confluent(RewriteSystem(ab, [r1, r2]))
     assert not report.ok
-    fail = report.failures()[0]
+    fail, = [r for r in report.results if not r.resolved]
     assert fail.residual == poly(ab, {"": 1, "a.a": -1})
 
 
@@ -392,6 +394,81 @@ def test_indexed_redex_matches_linear_scan(rules, words):
         assert _find_redex(m, system) == scan_find_redex(m, rules)
     p = NCPolynomial({m: Fraction(i + 1) for i, m in enumerate(words)})
     assert reduce(p, system) == scan_reduce(p, rules)
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_reduce_matches_linear_scan_on_hef(size):
+    """`reduce` against `scan_reduce` on random polynomials in H(E, F)
+    with rational and symbolic-q entries, and on the differences of the
+    one-step reducts of its ambiguities, which do not reduce to zero when
+    E and F fail the trace conditions."""
+    rng = random.Random(size)
+    kinds = set()
+    for _ in range(8):
+        e, f, unchecked = random_hef_pair(rng, size, size)
+        system = build_hef(e, f, unchecked=unchecked)
+        rules = system.rules
+        lhss = [r.lhs for r in rules]
+        letters = range(len(system.alphabet))
+
+        def word():
+            # lhs factors make reductions chain
+            return sum((rng.choice(lhss) if rng.random() < 0.6
+                        else (rng.choice(letters),)
+                        for _ in range(rng.randint(1, 3))), ())
+
+        for _ in range(6):
+            p = NCPolynomial({word(): random_scalar(rng, True)
+                              for _ in range(rng.randint(1, 4))})
+            assert reduce(p, system) == scan_reduce(p, rules)
+        ambs = find_ambiguities(rules)
+        picked = [a for a in ambs if a.kind == "inclusion"]
+        picked += rng.sample([a for a in ambs if a.kind == "overlap"], 6)
+        nonzero = False
+        for amb in picked:
+            w = amb.witness
+            p = (apply_rule_at(w, rules[amb.i], 0)
+                 - apply_rule_at(w, rules[amb.j], amb.pos_j))
+            residual = reduce(p, system)
+            assert residual == scan_reduce(p, rules)
+            nonzero = nonzero or not residual.is_zero()
+        assert nonzero == unchecked
+        kinds.add((unchecked, e.mode == "q" or f.mode == "q"))
+    assert len(kinds) == 4
+
+
+@st.composite
+def _lhs_lists(draw):
+    """One to eight rules lhs -> 0 over two or three letters, lhs lengths
+    one to five; some lhs are repeated."""
+    letters = st.integers(0, draw(st.integers(1, 2)))
+    lhss = draw(st.lists(st.lists(letters, min_size=1, max_size=5).map(tuple),
+                         min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        if len(lhss) < 8:
+            lhss.insert(draw(st.integers(0, len(lhss))),
+                        draw(st.sampled_from(lhss)))
+    return [Rule(l, NCPolynomial()) for l in lhss]
+
+
+@seed(1978)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_lhs_lists())
+def test_indexed_ambiguities_match_pair_scan(rules):
+    assert find_ambiguities(rules) == scan_ambiguities(rules)
+
+
+def test_indexed_ambiguities_match_pair_scan_on_presets():
+    specs = [build(qv) for build in (build_hq, build_hplusq, build_slq2,
+                                     build_freeprod)
+             for qv in (q, Fraction(3, 2))]
+    rng = random.Random(1978)
+    specs += [build_hef(e, f, unchecked=unchecked)
+              for e, f, unchecked in (random_hef_pair(rng)
+                                      for _ in range(12))]
+    for spec in specs:
+        ambs = find_ambiguities(spec.rules)
+        assert ambs and ambs == scan_ambiguities(spec.rules)
 
 
 def _words_up_to(letters, max_len):

@@ -439,6 +439,95 @@ def test_gcd_free_results_match_the_constructor(x, c, k):
         _assert_same_form(c / x, RatFunc(bot * Poly([c]), top, -val))
 
 
+# Laurent scalars of either sign of val: c*q^k, q^k times a sum, and more
+_any_laurents = st.builds(lambda cs, k: RatFunc(Poly(cs), 1, k),
+                          _coeff_lists, st.integers(-3, 3)).filter(
+                              lambda x: type(x) is RatFunc)
+
+
+@st.composite
+def _laurent_pairs(draw):
+    """Two Laurent scalars, often related so that their sum, difference or
+    product is a constant or zero."""
+    x = draw(_any_laurents)
+    how = draw(st.sampled_from(["apart", "same", "plus", "minus", "inverse"]))
+    if how == "apart":
+        y = draw(_any_laurents)
+    elif how == "same":
+        y = x
+    elif how == "plus":
+        y = x + draw(_nonzero)
+    elif how == "minus":
+        y = draw(_nonzero) - x
+    else:
+        c, k = draw(_nonzero), draw(st.integers(-3, 3).filter(bool))
+        x, y = c * q ** k, draw(_nonzero) * q ** -k
+    return x, y
+
+
+@seed(2002)
+@settings(max_examples=200, deadline=None, database=None)
+@given(_laurent_pairs())
+@example((q, q ** -1))
+@example((q + 1, q))
+@example((q, q))
+def test_laurent_results_match_the_constructor(pair):
+    """Two Laurent scalars multiply, add and subtract without the
+    constructor's gcd; each result equals the one the constructor builds,
+    a Fraction when it does not depend on q."""
+    x, y = pair
+    (xn, xd), (yn, yd) = _parts(x), _parts(y)
+    assert type(y) is not RatFunc or y.bot == Poly([1])
+    _assert_same_form(x * y, RatFunc(xn * yn, xd * yd))
+    _assert_same_form(y * x, RatFunc(xn * yn, xd * yd))
+    _assert_same_form(x + y, RatFunc(xn * yd + yn * xd, xd * yd))
+    _assert_same_form(x - y, RatFunc(xn * yd - yn * xd, xd * yd))
+    _assert_same_form(y - x, RatFunc(yn * xd - xn * yd, xd * yd))
+
+
+def test_laurent_results_collapse_to_fractions():
+    for got, value in ((q * q ** -1, 1), ((q + 1) - q, 1), (q - q, 0),
+                       (2 * q ** 2 * (q ** -2 / 4), Fraction(1, 2)),
+                       ((q ** -1 + 3) + (-q ** -1), 3)):
+        assert type(got) is Fraction and got == value
+
+
+@st.composite
+def _cancelling_polys(draw):
+    """Two coefficient lists whose top coefficients often cancel in a sum
+    or a difference."""
+    a = draw(_coeff_lists)
+    b = draw(_coeff_lists)
+    top = draw(st.integers(0, len(a)))
+    if top:
+        sign = draw(st.sampled_from([1, -1]))
+        b = b[:len(a) - top] + [sign * c for c in a[len(a) - top:]]
+    return a, b
+
+
+@seed(2002)
+@settings(max_examples=200, deadline=None, database=None)
+@given(_cancelling_polys(), _constants)
+@example(([1, 2, 3], [0, 1, -3]), 0)
+@example(([1, 2, 3], [1, 2, 3]), 2)
+def test_poly_sums_and_scaling_strip_trailing_zeros(lists, c):
+    """`+`, `-`, negation and scaling by a constant equal the constructor
+    on the same coefficients, with no trailing zero."""
+    a, b = lists
+    pa, pb = Poly(a), Poly(b)
+    a, b = list(pa.coeffs), list(pb.coeffs)
+    size = max(len(a), len(b))
+    a, b = a + [0] * (size - len(a)), b + [0] * (size - len(b))
+    for got, expected in (
+            (pa + pb, [x + y for x, y in zip(a, b)]),
+            (pa - pb, [x - y for x, y in zip(a, b)]),
+            (-pa, [-x for x in a]),
+            (pa * c, [x * c for x in a]), (c * pa, [c * x for x in a])):
+        assert got == Poly(expected) and got.coeffs == Poly(expected).coeffs
+        assert not got.coeffs or got.coeffs[-1] != 0
+        assert all(type(x) is Fraction for x in got.coeffs)
+
+
 @seed(2002)
 @settings(max_examples=150, deadline=None, database=None)
 @given(_constants, st.integers(0, 3), _constants)
