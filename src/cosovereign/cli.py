@@ -161,14 +161,30 @@ def parse_table_payload(blob):
 
 def cmd_check(args):
     spec, label = _build_preset(args)
-    report = confluent(spec)
-    _emit(args, lambda: _json({"presentation": label, "seed": args.seed,
-                               "confluent": report.ok,
-                               "counts": report.counts(),
-                               "ambiguities": report.to_payload()}),
-          lambda: (f"presentation: {label}\nseed: {args.seed}\n"
-                   + report.to_text()))
-    return 0 if report.ok else 1
+    alphabet, checks = confluent(spec)
+    ok = all(r.is_zero() for _, r in checks)
+    inclusion = sum(a.kind == "inclusion" for a, _ in checks)
+    counts = {"inclusion": inclusion, "overlap": len(checks) - inclusion}
+
+    def text():
+        lines = [f"presentation: {label}", f"seed: {args.seed}"]
+        for a, r in checks:
+            status = ("ok" if r.is_zero() else
+                      f"FAIL residual {r.render(alphabet)}")
+            lines.append(f"{a.kind:9s} rules ({a.i:2d},{a.j:2d}) witness "
+                         f"{alphabet.render(a.witness):30s} {status}")
+        lines.append(f"{len(checks)} ambiguities ({inclusion} inclusion, "
+                     f"{counts['overlap']} overlap); confluent: {ok}")
+        return "\n".join(lines)
+    _emit(args, lambda: _json({
+        "presentation": label, "seed": args.seed, "confluent": ok,
+        "counts": counts,
+        "ambiguities": [{"kind": a.kind, "rules": [a.i, a.j],
+                         "witness": alphabet.render(a.witness),
+                         "resolved": r.is_zero(),
+                         "residual": r.render(alphabet)}
+                        for a, r in checks]}), text)
+    return 0 if ok else 1
 
 
 def cmd_basis(args):

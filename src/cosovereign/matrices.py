@@ -79,9 +79,7 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            self.entries[i][j] == other.entries[i][j]
-            for i in range(self.rows) for j in range(self.cols))
+        return self.entries == other.entries
 
     def __hash__(self):
         return hash(self.entries)

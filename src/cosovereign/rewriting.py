@@ -318,53 +318,12 @@ def resolve(amb, system):
     return residual.is_zero(), residual
 
 
-AmbiguityResult = namedtuple("AmbiguityResult", "ambiguity resolved residual")
-
-
-class ConfluenceReport:
-    def __init__(self, alphabet, results):
-        self.alphabet, self.results = alphabet, results
-
-    @property
-    def ok(self):
-        return all(r.resolved for r in self.results)
-
-    def counts(self):
-        inc = sum(1 for r in self.results if r.ambiguity.kind == "inclusion")
-        return {"inclusion": inc, "overlap": len(self.results) - inc}
-
-    def to_text(self):
-        alphabet = self.alphabet
-        lines = []
-        for r in self.results:
-            a = r.ambiguity
-            status = "ok" if r.resolved else f"FAIL residual {r.residual.render(alphabet)}"
-            lines.append(f"{a.kind:9s} rules ({a.i:2d},{a.j:2d}) "
-                         f"witness {alphabet.render(a.witness):30s} {status}")
-        c = self.counts()
-        lines.append(f"{len(self.results)} ambiguities "
-                     f"({c['inclusion']} inclusion, {c['overlap']} overlap); "
-                     f"confluent: {self.ok}")
-        return "\n".join(lines)
-
-    def to_payload(self):
-        alphabet = self.alphabet
-        return [{
-            "kind": r.ambiguity.kind,
-            "rules": [r.ambiguity.i, r.ambiguity.j],
-            "witness": alphabet.render(r.ambiguity.witness),
-            "resolved": r.resolved,
-            "residual": r.residual.render(alphabet),
-        } for r in self.results]
-
-
 def confluent(system):
-    """Resolve every ambiguity; report ok plus per-ambiguity residuals."""
-    results = []
-    for amb in find_ambiguities(system.rules):
-        ok, residual = resolve(amb, system)
-        results.append(AmbiguityResult(amb, ok, residual))
-    return ConfluenceReport(system.alphabet, results)
+    """The system's alphabet and, per ambiguity in `find_ambiguities`
+    order, the ambiguity and its residual; the system is confluent when
+    every residual is zero."""
+    return system.alphabet, [(amb, resolve(amb, system)[1])
+                             for amb in find_ambiguities(system.rules)]
 
 
 def check_morphism(relations, images, target):
@@ -398,10 +357,15 @@ def _ends_with_lhs(word, system):
     return any(word[-size:] in index for size in system.lengths)
 
 
-def reduced_monomials(system, max_len, limit=10 ** 6):
+#: Hard bound for reduced_monomials; word counts grow geometrically.
+BASIS_MAX_SIZE = 10 ** 6
+
+
+def reduced_monomials(system, max_len):
     """Monomials of length <= max_len with no rule lhs as a factor.
 
-    Canonical (length, lex) order; enumeration aborts past `limit` entries.
+    Canonical (length, lex) order; enumeration aborts past
+    `BASIS_MAX_SIZE` entries.
     """
     out = [()]
     level = [()]
@@ -413,9 +377,9 @@ def reduced_monomials(system, max_len, limit=10 ** 6):
                 w2 = w + (g,)
                 if not _ends_with_lhs(w2, system):
                     nxt.append(w2)
-                    if len(out) + len(nxt) > limit:
+                    if len(out) + len(nxt) > BASIS_MAX_SIZE:
                         raise EnumerationBound(
-                            f"more than {limit} reduced monomials")
+                            f"more than {BASIS_MAX_SIZE} reduced monomials")
         out.extend(nxt)
         level = nxt
     return out
@@ -432,7 +396,7 @@ def is_free_family(system, subset, max_len):
     when no lhs of length <= max_len uses only subset letters.
     """
     subset = {system.alphabet.index(s) for s in subset}
-    if not confluent(system).ok:
+    if not all(r.is_zero() for _, r in confluent(system)[1]):
         raise ValueError("rewrite system is not confluent; "
                          "the reduced-monomial basis is unavailable")
     return not any(len(lhs) <= max_len and set(lhs) <= subset

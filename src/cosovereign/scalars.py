@@ -252,15 +252,6 @@ class RatFunc:
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _parts(x):
-        """(val, top, bot) of a scalar, or None for anything else."""
-        if isinstance(x, RatFunc):
-            return x.val, x.top, x.bot
-        if isinstance(x, (int, Fraction)):
-            return 0, Poly([x]), _P_ONE
-        return None
-
     def _plus(self, other, sign):
         """self + sign*other, sign being 1 or -1."""
         if isinstance(other, (int, Fraction)):
@@ -271,19 +262,17 @@ class RatFunc:
                    + self.bot.shift(-val) * (other if sign > 0 else -other))
             i, top = _unit_part(top)
             return RatFunc._of(val + i, top, self.bot)
-        o = self._parts(other)
-        if o is None:
+        if not isinstance(other, RatFunc):
             return NotImplemented
-        o_val, o_top, o_bot = o
         # bring both tops onto the smaller power of q
-        val = min(self.val, o_val)
+        val = min(self.val, other.val)
         a = self.top.shift(self.val - val)
-        b = o_top.shift(o_val - val)
-        if len(self.bot.coeffs) == len(o_bot.coeffs) == 1:
+        b = other.top.shift(other.val - val)
+        if len(self.bot.coeffs) == len(other.bot.coeffs) == 1:
             # two Laurent scalars: the sum needs no gcd
             return _laurent(val, a + b if sign > 0 else a - b)
-        a, b = a * o_bot, b * self.bot
-        return RatFunc(a + b if sign > 0 else a - b, self.bot * o_bot, val)
+        a, b = a * other.bot, b * self.bot
+        return RatFunc(a + b if sign > 0 else a - b, self.bot * other.bot, val)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -305,26 +294,24 @@ class RatFunc:
             if not other:
                 return _F_ZERO
             return RatFunc._of(self.val, self.top * other, self.bot)
-        o = self._parts(other)
-        if o is None:
+        if not isinstance(other, RatFunc):
             return NotImplemented
-        o_val, o_top, o_bot = o
-        if len(self.bot.coeffs) == len(o_bot.coeffs) == 1:
-            return _laurent(self.val + o_val, self.top * o_top)
-        return RatFunc(self.top * o_top, self.bot * o_bot, self.val + o_val)
+        if len(self.bot.coeffs) == len(other.bot.coeffs) == 1:
+            return _laurent(self.val + other.val, self.top * other.top)
+        return RatFunc(self.top * other.top, self.bot * other.bot,
+                       self.val + other.val)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) and other:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by zero scalar")
             return self.__mul__(1 / Fraction(other))
-        o = self._parts(other)
-        if o is None:
+        if not isinstance(other, RatFunc):
             return NotImplemented
-        o_val, o_top, o_bot = o
-        if o_top.is_zero():
-            raise ZeroDivisionError("division by zero scalar")
-        return RatFunc(self.top * o_bot, self.bot * o_top, self.val - o_val)
+        return RatFunc(self.top * other.bot, self.bot * other.top,
+                       self.val - other.val)
 
     def __rtruediv__(self, other):
         # __mul__, not *, so that `combination / q` stays a TypeError

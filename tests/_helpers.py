@@ -9,8 +9,10 @@ random redexes), the ambiguity search over every pair of rules that the lhs
 indexes replaced, the H(E, F) builder with each relation family solved by
 hand for its leading monomial and the H+(q) t-rules and free-product images
 written out one by one, which `orient` and the star-pair table replaced,
-the morphism check of the H(q) relations under any free-product images, and
-the `cosov` parser with every subparser built up front."""
+the morphism check of the H(q) relations under any free-product images,
+the `cosov check` text and JSON that `ConfluenceReport` wrote before the
+CLI wrote them, and the `cosov` parser with every subparser built up
+front."""
 
 import argparse
 import sys
@@ -770,6 +772,46 @@ def rhs_texts(draw, generators):
         parts.append(draw(monomials) if kind == 0 else coeff if kind == 1
                      else f"{coeff}*{draw(monomials)}")
     return "".join(parts)
+
+
+def is_confluent(checks):
+    """Whether every residual of `confluent`'s (ambiguity, residual) pairs
+    is zero."""
+    return all(r.is_zero() for _, r in checks)
+
+
+def confluence_counts(checks):
+    """The ambiguities of `checks` counted by kind."""
+    inc = sum(1 for a, _ in checks if a.kind == "inclusion")
+    return {"inclusion": inc, "overlap": len(checks) - inc}
+
+
+def reference_check_text(alphabet, checks):
+    """`ConfluenceReport.to_text`, the body of the `cosov check` text
+    report after its presentation and seed lines."""
+    lines = []
+    for a, residual in checks:
+        status = ("ok" if residual.is_zero()
+                  else f"FAIL residual {residual.render(alphabet)}")
+        lines.append(f"{a.kind:9s} rules ({a.i:2d},{a.j:2d}) "
+                     f"witness {alphabet.render(a.witness):30s} {status}")
+    c = confluence_counts(checks)
+    lines.append(f"{len(checks)} ambiguities "
+                 f"({c['inclusion']} inclusion, {c['overlap']} overlap); "
+                 f"confluent: {is_confluent(checks)}")
+    return "\n".join(lines)
+
+
+def reference_check_payload(alphabet, checks):
+    """`ConfluenceReport.to_payload`, the "ambiguities" of the `cosov check`
+    JSON report."""
+    return [{
+        "kind": a.kind,
+        "rules": [a.i, a.j],
+        "witness": alphabet.render(a.witness),
+        "resolved": residual.is_zero(),
+        "residual": residual.render(alphabet),
+    } for a, residual in checks]
 
 
 def reference_parser():

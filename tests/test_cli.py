@@ -2,14 +2,20 @@ import json
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from cosovereign import format_matrix, inverse, matrix_fq, ExactMatrix
+from cosovereign import (build_freeprod, build_hef, build_hplusq, build_hq,
+                         build_slq2, confluent, format_matrix, inverse,
+                         matrix_fq, parse_presentation, q, ExactMatrix)
 from cosovereign.cli import COMMANDS, build_parser, main, parse_table_payload
-from _helpers import (LONG_LITERAL, generic_integer_matrix, needs_digit_limit,
-                      prefix_dim, random_unimodular, reference_parser,
-                      reference_table_lines, reference_table_payload)
+from _helpers import (LONG_LITERAL, confluence_counts, generic_integer_matrix,
+                      is_confluent, needs_digit_limit, prefix_dim,
+                      random_hef_pair, random_unimodular,
+                      reference_check_payload, reference_check_text,
+                      reference_parser, reference_table_lines,
+                      reference_table_payload)
 import random
 
 
@@ -153,6 +159,66 @@ def test_check_file_preset(tmp_path, capsys):
     path.write_text("generators:\na\nb\nrules:\na.b -> 1\nb.a -> 1\n")
     code, out, _ = run(capsys, "check", "file", "--file", str(path))
     assert code == 0 and "confluent: True" in out
+
+
+def check_matches_reference(capsys, argv, system, label, seed=0):
+    """`cosov check` on `argv` prints, as text and as JSON, what
+    `ConfluenceReport` wrote for `system`, and exits 0 or 1 by its verdict;
+    returns that verdict."""
+    alphabet, checks = confluent(system)
+    ok = is_confluent(checks)
+    text = (f"presentation: {label}\nseed: {seed}\n"
+            + reference_check_text(alphabet, checks) + "\n")
+    blob = json.dumps({"presentation": label, "seed": seed, "confluent": ok,
+                       "counts": confluence_counts(checks),
+                       "ambiguities": reference_check_payload(alphabet,
+                                                              checks)},
+                      indent=2) + "\n"
+    argv = ["check", *argv, "--seed", str(seed)]
+    assert run(capsys, *argv) == (0 if ok else 1, text, "")
+    assert run(capsys, *argv, "--format", "json") == (0 if ok else 1, blob, "")
+    return ok
+
+
+@pytest.mark.parametrize("qtext, qv", [("sym", q), ("3/2", Fraction(3, 2))])
+@pytest.mark.parametrize("preset, builder", [
+    ("hq", build_hq), ("hplus", build_hplusq), ("slq2", build_slq2),
+    ("freeprod", build_freeprod)])
+def test_check_writers_match_reference_on_presets(capsys, preset, builder,
+                                                  qtext, qv):
+    assert check_matches_reference(capsys, [preset, "--q", qtext],
+                                   builder(qv), f"{preset} (q = {qtext})",
+                                   seed=7)
+
+
+def test_check_writers_match_reference_on_a_non_confluent_file(capsys,
+                                                               tmp_path):
+    path = tmp_path / "qinv.pres"
+    text = "generators:\na\nb\nrules:\nb.a -> q^-1*a\nb.b -> a\n"
+    path.write_text(text)
+    assert not check_matches_reference(capsys, ["file", "--file", str(path)],
+                                       parse_presentation(text),
+                                       f"file ({path})")
+
+
+def test_check_writers_match_reference_on_random_hef_pairs(capsys, tmp_path):
+    rng = random.Random(1978)
+    epath, fpath = tmp_path / "e.mat", tmp_path / "f.mat"
+    label = f"hef (E = {epath}, F = {fpath})"
+    argv = ["hef", "--E", str(epath), "--F", str(fpath)]
+    verdicts = set()
+    for _ in range(10):
+        e, f, unchecked = random_hef_pair(rng, 2, 3)
+        epath.write_text(format_matrix(e))
+        fpath.write_text(format_matrix(f))
+        system = build_hef(e, f, unchecked=True)
+        ok = check_matches_reference(capsys, argv + ["--unchecked"], system,
+                                     label)
+        if not unchecked:
+            assert check_matches_reference(capsys, argv, system, label) == ok
+        verdicts.add((unchecked, ok))
+    # checked and unchecked pairs, confluent and not
+    assert {(False, True), (True, False)} <= verdicts
 
 
 def test_file_rule_order_error_names_line_and_generators(tmp_path, capsys):
