@@ -22,8 +22,8 @@ from .matrices import load_matrix, hopf_isomorphism_witness
 from .rewriting import (confluent, is_free_family, parse_presentation,
                         reduced_monomials)
 from .scalars import ParseError, q as q_sym, parse_scalar
-from .words import (FusionElement, dim, dim_element, dual, fuse, fusion_table,
-                    parse_word, word_str)
+from .words import (dim, dim_element, dual, fuse, fusion_table, parse_word,
+                    word_str)
 from .repring import alt_dim, psi, render_alt_word
 
 
@@ -149,14 +149,6 @@ def cmd_table(args):
                             f"{' + '.join(map(word_str, p.terms))}"
                             for x, y, p in table))
     return 0
-
-
-def parse_table_payload(blob):
-    """Inverse of the machine table format, for round-trip checks."""
-    data = json.loads(blob)
-    return [(parse_word(e["x"]), parse_word(e["y"]),
-             FusionElement.from_pairs(e["product"]))
-            for e in data["entries"]]
 
 
 def cmd_check(args):

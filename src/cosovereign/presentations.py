@@ -6,7 +6,10 @@ the four defining identities u tv = I, v F tu = E, tv u = I, tu E^-1 v =
 F^-1, each oriented by `rewriting.orient`.  Generators are ordered with
 every v below every u, the u's lexicographically by index and the v's in
 the reversed lexicographic order; the leading monomials are then u_in v_jn,
-v_i1 u_j1, v_1i u_1j and u_mi v_mj.
+v_i1 u_j1, v_1i u_1j and u_mi v_mj.  E^-1 and F^-1 come from
+`matrices.inverse`, once each, and give both the last identity and the
+trace conditions tr(E) = tr(F), tr(E^-1) = tr(F^-1); `trace_conditions`
+states these for any invertible square pair.
 
 H(q) is the special case E = F = diag(q^-1, q) with the eight generators
 renamed a, b, c, d (matrix u) and as, bs, cs, ds (matrix v).  The table
@@ -32,23 +35,21 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
-from .matrices import ExactMatrix, SingularMatrixError, inverse, trace
+from .matrices import ExactMatrix, inverse, trace
 from .rewriting import (Alphabet, NCPolynomial, RewriteSystem, Rule,
                         check_morphism, orient)
 
+#: The unit as a `Fraction`, so that `_ONE / c` is never a float.
+_ONE = Fraction(1)
 
-def _inverse_trace(m):
-    """tr(M^-1) of a lower-triangular M: the sum of the 1/M_ii."""
-    if not _is_lower_triangular(m):
-        raise ValueError("trace conditions need lower-triangular matrices")
-    if any(m[i, i] == 0 for i in range(m.rows)):
-        raise SingularMatrixError("matrix is singular (zero diagonal entry)")
-    return sum((1 / m[i, i] for i in range(m.rows)), Fraction(0))
+
+def _traces_match(e, f, e_inv, f_inv):
+    return trace(e) == trace(f) and trace(e_inv) == trace(f_inv)
 
 
 def trace_conditions(e, f):
-    """tr(E) = tr(F) and tr(E^-1) = tr(F^-1), for lower-triangular E, F."""
-    return trace(e) == trace(f) and _inverse_trace(e) == _inverse_trace(f)
+    """tr(E) = tr(F) and tr(E^-1) = tr(F^-1), for invertible square E, F."""
+    return _traces_match(e, f, inverse(e), inverse(f))
 
 
 def _check_q(qv):
@@ -88,7 +89,8 @@ def build_hef(e, f, unchecked=False):
         raise ValueError("E is singular (zero diagonal entry)")
     if any(f[i, i] == 0 for i in range(n)):
         raise ValueError("F is singular (zero diagonal entry)")
-    if not unchecked and not trace_conditions(e, f):
+    e_inv, f_inv = inverse(e), inverse(f)
+    if not unchecked and not _traces_match(e, f, e_inv, f_inv):
         raise ValueError("trace conditions tr(E) = tr(F), tr(E^-1) = tr(F^-1) "
                          "do not hold; pass unchecked=True to build anyway")
 
@@ -114,12 +116,11 @@ def build_hef(e, f, unchecked=False):
                     terms[()] = dij
                 yield NCPolynomial._of(terms)
 
-    one = Fraction(1)
-    eye_m, eye_n = ([[one if i == j else 0 for j in range(k)]
+    eye_m, eye_n = ([[_ONE if i == j else 0 for j in range(k)]
                      for i in range(k)] for k in (m, n))
-    e_inv = [[one / x if x else 0 for x in row] for row in e.entries]
     identities = ((u, eye_n, v, eye_m), (v, f.entries, u, e.entries),
-                  (tv, eye_m, tu, eye_n), (tu, e_inv, tv, inverse(f).entries))
+                  (tv, eye_m, tu, eye_n),
+                  (tu, e_inv.entries, tv, f_inv.entries))
     return RewriteSystem(alphabet, [orient(r) for x, c, y, d in identities
                                     for r in entries(x, c, y, d)])
 
@@ -132,7 +133,7 @@ HQ_OF_HEF = {"u11": "a", "u12": "b", "u21": "c", "u22": "d",
 def matrix_fq(qv):
     """diag(q^-1, q) for a nonzero rational or symbolic q."""
     qv = _check_q(qv)
-    return ExactMatrix.diagonal([Fraction(1) / qv, qv])
+    return ExactMatrix.diagonal([_ONE / qv, qv])
 
 
 def build_hq(qv):
@@ -147,9 +148,8 @@ def build_hq(qv):
 def _star_pairs(qv):
     """(x, y, c) for each H(q) generator x of the matrix u and its partner y
     of v: pi sends x to z.x and y to c.x.zi, and t.y = c.x.ti in H+(q)."""
-    one = Fraction(1)
-    return (("a", "ds", one), ("b", "cs", -qv), ("c", "bs", -one / qv),
-            ("d", "as", one))
+    return (("a", "ds", _ONE), ("b", "cs", -qv), ("c", "bs", -_ONE / qv),
+            ("d", "as", _ONE))
 
 
 def build_hplusq(qv):
@@ -159,9 +159,8 @@ def build_hplusq(qv):
     alphabet = Alphabet(hq.alphabet.names + ("ti", "t"))
     g = alphabet.index
     t, ti = g("t"), g("ti")
-    one = Fraction(1)
-    t_rules = [Rule((t, ti), NCPolynomial({(ti, t): one})),
-               Rule((ti, t), NCPolynomial({(): one}))]
+    t_rules = [Rule((t, ti), NCPolynomial({(ti, t): _ONE})),
+               Rule((ti, t), NCPolynomial({(): _ONE}))]
     for x, y, c in _star_pairs(qv):
         t_rules += [Rule((ti, g(x)), NCPolynomial({(g(y), t): 1 / c})),
                     Rule((t, g(y)), NCPolynomial({(g(x), ti): c}))]
@@ -180,15 +179,14 @@ def build_slq2(qv):
     qv = _check_q(qv)
     alphabet = Alphabet(("a", "b", "c", "d"))
     a, b, c, d = range(4)
-    one = Fraction(1)
     rules = (
         Rule((b, a), NCPolynomial({(a, b): qv})),
         Rule((c, a), NCPolynomial({(a, c): qv})),
-        Rule((c, b), NCPolynomial({(b, c): one})),
+        Rule((c, b), NCPolynomial({(b, c): _ONE})),
         Rule((d, b), NCPolynomial({(b, d): qv})),
         Rule((d, c), NCPolynomial({(c, d): qv})),
         Rule((b, c), NCPolynomial({(a, d): qv, (): -qv})),
-        Rule((d, a), NCPolynomial({(b, c): qv, (): one})),
+        Rule((d, a), NCPolynomial({(b, c): qv, (): _ONE})),
     )
     return RewriteSystem(alphabet, rules)
 
@@ -203,10 +201,9 @@ def build_freeprod(qv):
     slq2 = build_slq2(qv)
     alphabet = Alphabet(("a", "b", "c", "d", "zi", "z"))
     zi, z = alphabet.index("zi"), alphabet.index("z")
-    one = Fraction(1)
     rules = slq2.rules + (
-        Rule((z, zi), NCPolynomial({(): one})),
-        Rule((zi, z), NCPolynomial({(): one})),
+        Rule((z, zi), NCPolynomial({(): _ONE})),
+        Rule((zi, z), NCPolynomial({(): _ONE})),
     )
     return RewriteSystem(alphabet, rules)
 
@@ -217,7 +214,7 @@ def standard_pi_images(qv, freeprod):
     z, zi = g("z"), g("zi")
     images = {}
     for x, y, c in _star_pairs(qv):
-        images[x] = NCPolynomial({(z, g(x)): Fraction(1)})
+        images[x] = NCPolynomial({(z, g(x)): _ONE})
         images[y] = NCPolynomial({(g(x), zi): c})
     return images
 
@@ -265,12 +262,11 @@ def build_aaut(f):
     def x(lower, upper):
         return idx[lower + upper]
 
-    one = Fraction(1)
     multiplicative = []
     measure = []
     for i, j, k, l, r, s in product(rng, repeat=6):
         multiplicative.append(NCPolynomial(
-            [((x((r, t), (i, j)), x((t, s), (k, l))), one) for t in rng]
+            [((x((r, t), (i, j)), x((t, s), (k, l))), _ONE) for t in rng]
             + [((x((r, s), (i, l)),), -Fraction(int(j == k)))]))
         measure.append(NCPolynomial(
             [((x((k, l), (i, t)), x((r, s), (p, j))), f[t - 1, p - 1])
@@ -281,7 +277,7 @@ def build_aaut(f):
     trace_family = []
     for i, j in product(rng, repeat=2):
         counit.append(NCPolynomial(
-            [((x((i, j), (t, t)),), one) for t in rng]
+            [((x((i, j), (t, t)),), _ONE) for t in rng]
             + [((), -Fraction(int(i == j)))]))
         trace_family.append(NCPolynomial(
             [((x((t, p), (i, j)),), finv[t - 1, p - 1])

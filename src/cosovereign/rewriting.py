@@ -408,16 +408,6 @@ def is_free_family(system, subset, max_len):
 # ---------------------------------------------------------------------------
 
 
-def _try_monomial(text, alphabet):
-    text = text.strip()
-    if not text:
-        return None
-    names = [t.strip() for t in text.split(".")]
-    if all(n in alphabet._index for n in names):
-        return tuple(alphabet._index[n] for n in names)
-    return None
-
-
 def parse_presentation(text):
     """Parse the presentation file format into a `RewriteSystem`."""
     names = []
@@ -455,10 +445,11 @@ def parse_presentation(text):
             raise ParseError("rule line needs '->'", line=no, col=col)
         arrow = raw.index("->")
         lhs_text, rhs_text = raw[:arrow], raw[arrow + 2:]
-        lhs = _try_monomial(lhs_text, alphabet)
-        if not lhs:
+        try:
+            lhs = alphabet.word(*(t.strip() for t in lhs_text.split(".")))
+        except KeyError:
             raise ParseError(f"invalid rule left side {lhs_text.strip()!r}",
-                             line=no, col=col)
+                             line=no, col=col) from None
         try:
             rhs = (parse_expression(rhs_text, generators)
                    if rhs_text.strip() else 0)

@@ -75,10 +75,6 @@ class FusionElement(Combination):
         """JSON-ready [word, multiplicity] pairs, leading term first."""
         return [[word_str(w), c] for w, c in self.pairs()]
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        return cls({parse_word(w): c for w, c in pairs})
-
 
 def fuse(x, y):
     """Decomposition of U_x tensor U_y into simple labels; equals odot(x, y).

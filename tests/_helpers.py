@@ -3,18 +3,19 @@ a reference recurrence for label dimensions, the splitting sum and the
 four-similarity isomorphism search that the closed forms replaced,
 reference readers for scalars and rule right sides, the printer of scalars
 and combinations that `render_terms` replaced, the `cosov table` JSON
-payload and text lines that its one-pass writers replaced, reducers that
-check the rewriting engine (a linear scan over every rule, and rewriting at
-random redexes), the ambiguity search over every pair of rules that the lhs
-indexes replaced, the H(E, F) builder with each relation family solved by
-hand for its leading monomial and the H+(q) t-rules and free-product images
-written out one by one, which `orient` and the star-pair table replaced,
-the morphism check of the H(q) relations under any free-product images,
-the `cosov check` text and JSON that `ConfluenceReport` wrote before the
-CLI wrote them, and the `cosov` parser with every subparser built up
-front."""
+payload and text lines that its one-pass writers replaced, a reader of that
+JSON for round-trip checks, reducers that check the rewriting engine (a
+linear scan over every rule, and rewriting at random redexes), the
+ambiguity search over every pair of rules that the lhs indexes replaced,
+the H(E, F) builder with each relation family solved by hand for its
+leading monomial and the H+(q) t-rules and free-product images written out
+one by one, which `orient` and the star-pair table replaced, the morphism
+check of the H(q) relations under any free-product images, the `cosov
+check` text and JSON that `ConfluenceReport` wrote before the CLI wrote
+them, and the `cosov` parser with every subparser built up front."""
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 
@@ -24,8 +25,8 @@ from hypothesis import strategies as st
 from cosovereign import (Alphabet, ExactMatrix, FusionElement, ParseError,
                          Poly, RatFunc, RewriteSystem, Rule, bar,
                          build_freeprod, build_hq, check_morphism,
-                         fusion_table, inverse, is_generic, q, similar,
-                         word_str)
+                         fusion_table, inverse, is_generic, parse_word, q,
+                         similar, word_str)
 from cosovereign.cli import COMMANDS
 from cosovereign.rewriting import (Ambiguity, NCPolynomial, apply_rule_at,
                                    deglex_key, deglex_less)
@@ -562,13 +563,11 @@ def _split_top_level(text, seps):
 
 
 def _try_monomial(text, alphabet):
-    text = text.strip()
-    if not text:
+    """The monomial `text` spells, or None if it is not one."""
+    try:
+        return alphabet.word(*(t.strip() for t in text.split(".")))
+    except KeyError:
         return None
-    names = [t.strip() for t in text.split(".")]
-    if all(n in alphabet._index for n in names):
-        return tuple(alphabet._index[n] for n in names)
-    return None
 
 
 def _parse_poly_text(text, alphabet, line_no, col):
@@ -713,6 +712,18 @@ def reference_table_payload(max_len, seed):
             "entries": [{"x": word_str(x), "y": word_str(y),
                          "product": p.to_pairs()}
                         for x, y, p in fusion_table(max_len)]}
+
+
+def element_from_pairs(pairs):
+    """The `FusionElement` whose `to_pairs()` is `pairs`."""
+    return FusionElement({parse_word(w): c for w, c in pairs})
+
+
+def parse_table_payload(blob):
+    """`cosov table --format json` read back as (x, y, product) triples."""
+    return [(parse_word(e["x"]), parse_word(e["y"]),
+             element_from_pairs(e["product"]))
+            for e in json.loads(blob)["entries"]]
 
 
 def reference_table_lines(max_len):

@@ -9,10 +9,10 @@ import pytest
 from cosovereign import (build_freeprod, build_hef, build_hplusq, build_hq,
                          build_slq2, confluent, format_matrix, inverse,
                          matrix_fq, parse_presentation, q, ExactMatrix)
-from cosovereign.cli import COMMANDS, build_parser, main, parse_table_payload
+from cosovereign.cli import COMMANDS, build_parser, main
 from _helpers import (LONG_LITERAL, confluence_counts, generic_integer_matrix,
-                      is_confluent, needs_digit_limit, prefix_dim,
-                      random_hef_pair, random_unimodular,
+                      is_confluent, needs_digit_limit, parse_table_payload,
+                      prefix_dim, random_hef_pair, random_unimodular,
                       reference_check_payload, reference_check_text,
                       reference_parser, reference_table_lines,
                       reference_table_payload)

@@ -13,7 +13,8 @@ from cosovereign import (AAUT_MAX_N, ExactMatrix, NCPolynomial,
                          trace, standard_pi_images, trace_conditions,
                          verify_pi, q)
 from _helpers import (is_confluent, pi_check, random_hef_pair, random_scalar,
-                      reference_hef, reference_hplusq, reference_pi_images)
+                      random_unimodular, reference_hef, reference_hplusq,
+                      reference_pi_images)
 
 E22 = ExactMatrix.diagonal([1, 2])
 F22 = ExactMatrix([[1, 0], [1, 2]])
@@ -23,10 +24,32 @@ def test_trace_conditions():
     assert trace_conditions(matrix_fq(q), matrix_fq(q))
     assert trace_conditions(E22, F22)
     assert not trace_conditions(ExactMatrix.identity(2), E22)
-    with pytest.raises(ValueError, match="lower-triangular"):
-        trace_conditions(E22, ExactMatrix([[1, 1], [0, 2]]))
+    # any invertible square pair: upper-triangular and full matrices too
+    assert trace_conditions(E22, ExactMatrix([[1, 1], [0, 2]]))
+    assert trace_conditions(ExactMatrix([[2, 1], [1, 1]]),
+                            ExactMatrix([[1, 1], [1, 2]]))
+    assert not trace_conditions(E22, ExactMatrix([[1, 1], [1, 2]]))
     with pytest.raises(SingularMatrixError):
         trace_conditions(E22, ExactMatrix([[3, 0], [1, 0]]))
+
+
+def test_trace_conditions_hold_for_similar_matrices():
+    # tr(PDP^-1) = tr(D) and (PDP^-1)^-1 = PD^-1P^-1, so the conditions hold
+    # for D and any conjugate of it; doubling one diagonal entry of D moves
+    # tr(D) and breaks them
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(40):
+        _, d, _ = random_hef_pair(rng)
+        p = random_unimodular(rng, d.rows)
+        assert trace_conditions(d, p * d * inverse(p))
+        i = rng.randrange(d.rows)
+        changed = ExactMatrix([[2 * x if r == c == i else x
+                                for c, x in enumerate(row)]
+                               for r, row in enumerate(d.entries)])
+        assert not trace_conditions(d, p * changed * inverse(p))
+        kinds.add(d.mode)
+    assert kinds == {"rational", "q"}
 
 
 def test_build_hef_preconditions():
@@ -65,9 +88,14 @@ def test_hef_ambiguity_census_and_confluence(e, f, m, n):
     assert is_confluent(confluent(spec)[1])
 
 
+def _diagonal_inverse_trace(m):
+    """tr(M^-1) of a triangular M: the sum of the 1/M_ii."""
+    return sum((1 / m[i, i] for i in range(m.rows)), Fraction(0))
+
+
 def test_trace_conditions_match_the_inverse_traces():
-    # tr(M^-1) of a triangular M read off its diagonal agrees with the trace
-    # of the eliminated inverse, on pairs that match and that do not
+    # the trace of the eliminated inverse of a triangular M agrees with
+    # tr(M^-1) read off its diagonal, on pairs that match and that do not
     rng = random.Random(5)
     kinds = set()
     for _ in range(120):
@@ -76,8 +104,8 @@ def test_trace_conditions_match_the_inverse_traces():
             e = ExactMatrix([[rng.choice([0, random_scalar(rng, True)])
                               if j < i else e[i, j] for j in range(e.cols)]
                              for i in range(e.rows)])
-        expected = (trace(e) == trace(f)
-                    and trace(inverse(e)) == trace(inverse(f)))
+        expected = (trace(e) == trace(f) and _diagonal_inverse_trace(e)
+                    == _diagonal_inverse_trace(f))
         assert trace_conditions(e, f) == expected
         kinds.add((expected, e.mode == "q" or f.mode == "q"))
     assert len(kinds) == 4

@@ -248,6 +248,10 @@ def test_parse_presentation_errors():
 
 @pytest.mark.parametrize("rules, line, col, message", [
     ("  c -> 1", 4, 3, "left side 'c'"),
+    ("a.zz -> 1", 4, 1, "invalid rule left side 'a.zz'"),
+    (" a . zz -> 1", 4, 2, "invalid rule left side 'a . zz'"),
+    ("a. -> 1", 4, 1, "invalid rule left side 'a.'"),
+    ("   -> 1", 4, 4, "invalid rule left side ''"),
     ("a.a -> a + 2*z", 4, 12, "not a term: '2*z'"),
     ("a.a ->  a - 1/0*a", 4, 16, "zero denominator"),
     ("a.a -> a +", 4, 10, "empty term"),
@@ -274,6 +278,14 @@ def test_parse_presentation_generator_error_columns(generators, line, col,
     with pytest.raises(ParseError, match=re.escape(message)) as exc:
         parse_presentation(f"generators:\n{generators}\nrules:\n")
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_parse_presentation_left_sides_allow_spaces_around_dots():
+    system = parse_presentation(
+        "generators:\na\nb\nrules:\na . b -> a\n b.\tb  -> a . a\n")
+    word = system.alphabet.word
+    assert [r.lhs for r in system.rules] == [word("a", "b"), word("b", "b")]
+    assert system.rules[1].rhs == NCPolynomial({word("a", "a"): 1})
 
 
 def test_parse_presentation_terms():
