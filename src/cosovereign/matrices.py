@@ -18,8 +18,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .scalars import (INTEGER, ParseError, Poly, RatFunc, format_scalar,
-                      parse_integer, parse_scalar)
+from .scalars import (INTEGER, ParseError, Poly, RatFunc, exact,
+                      format_scalar, parse_integer, parse_scalar)
 
 
 class NonSquareError(ValueError):
@@ -30,14 +30,6 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def _coerce_entry(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, RatFunc):
-        return x
-    raise TypeError(f"not a scalar entry: {x!r}")
-
-
 class ExactMatrix:
     """Immutable rectangular matrix of exact scalars; its mode is "q" when
     some entry depends on q, and "rational" otherwise."""
@@ -45,7 +37,8 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        grid = [tuple(_coerce_entry(x) for x in row) for row in entries]
+        grid = [tuple(Fraction(x) if isinstance(x, int) else exact(x)
+                      for x in row) for row in entries]
         if not grid or not grid[0]:
             raise ValueError("matrix must have positive dimensions")
         if any(len(row) != len(grid[0]) for row in grid):
@@ -151,7 +144,7 @@ def inverse(m):
     if not m.is_square():
         raise NonSquareError(f"inverse of a {m.rows}x{m.cols} matrix")
     det, inv = _eliminated(m)
-    if inv is None or det == 0:
+    if inv is None:
         raise SingularMatrixError("matrix is singular (determinant is zero)")
     return ExactMatrix(inv)
 

@@ -38,6 +38,7 @@ from itertools import product
 from .matrices import ExactMatrix, inverse, trace
 from .rewriting import (Alphabet, NCPolynomial, RewriteSystem, Rule,
                         check_morphism, orient)
+from .scalars import exact
 
 #: The unit as a `Fraction`, so that `_ONE / c` is never a float.
 _ONE = Fraction(1)
@@ -53,11 +54,9 @@ def trace_conditions(e, f):
 
 
 def _check_q(qv):
-    if isinstance(qv, int):
-        qv = Fraction(qv)
-    if qv == 0:
+    if exact(qv) == 0:
         raise ValueError("q must be nonzero")
-    return qv
+    return Fraction(qv) if isinstance(qv, int) else qv
 
 
 def _is_diagonal(m):
@@ -116,8 +115,7 @@ def build_hef(e, f, unchecked=False):
                     terms[()] = dij
                 yield NCPolynomial._of(terms)
 
-    eye_m, eye_n = ([[_ONE if i == j else 0 for j in range(k)]
-                     for i in range(k)] for k in (m, n))
+    eye_m, eye_n = (ExactMatrix.identity(k).entries for k in (m, n))
     identities = ((u, eye_n, v, eye_m), (v, f.entries, u, e.entries),
                   (tv, eye_m, tu, eye_n),
                   (tu, e_inv.entries, tv, f_inv.entries))
@@ -210,6 +208,7 @@ def build_freeprod(qv):
 
 def standard_pi_images(qv, freeprod):
     """The defining images of the eight H(q) generators in the free product."""
+    qv = _check_q(qv)
     g = freeprod.alphabet.index
     z, zi = g("z"), g("zi")
     images = {}

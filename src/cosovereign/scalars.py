@@ -9,8 +9,10 @@ has one form and structural equality coincides with mathematical equality.
 A Laurent polynomial is exactly the case ``bot == 1``.  Powers of q only add
 to ``val``, so they cost no dense polynomial arithmetic.
 
-ints, Fractions and RatFuncs mix in arithmetic, which keeps matrix and
-rewriting code agnostic of the coefficient field.  `render_terms` prints
+An exact scalar is an int, a Fraction or a RatFunc; `exact` checks that
+once, for every layer that takes scalars from a caller, and converts
+nothing else.  ints, Fractions and RatFuncs mix in arithmetic, which keeps
+matrix and rewriting code agnostic of the coefficient field.  `render_terms` prints
 every signed sum: the powers of q of a scalar, the terms of a `Combination`.
 """
 
@@ -39,11 +41,13 @@ class ParseError(ValueError):
         return f"{self.message}{where}"
 
 
-def _exact(c):
-    """Fraction of an exact number; floats are refused, not rounded."""
-    if isinstance(c, float):
-        raise TypeError(f"inexact coefficient {c!r}; use an int or Fraction")
-    return Fraction(c)
+def exact(c):
+    """`c` when it is an exact scalar: an int, Fraction or RatFunc.  Any other
+    value, a float, complex, Decimal or str among them, raises TypeError; the
+    int test comes first, as `Poly([1])` below runs before RatFunc exists."""
+    if isinstance(c, (int, Fraction)) or isinstance(c, RatFunc):
+        return c
+    raise TypeError(f"inexact scalar {c!r}; use an int, Fraction or RatFunc")
 
 
 class Poly:
@@ -52,7 +56,8 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else _exact(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(exact(c))
+              for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -81,6 +86,8 @@ class Poly:
         return _poly((_F_ZERO,) * k + self.coeffs)
 
     def __add__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -92,7 +99,7 @@ class Poly:
         return _poly(tuple(out))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + -other if isinstance(other, Poly) else NotImplemented
 
     def __neg__(self):
         return _poly(tuple(-c for c in self.coeffs))
@@ -102,6 +109,8 @@ class Poly:
             if not other:
                 return _P_ZERO
             return _poly(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, Poly):
+            return NotImplemented
         xs, ys = self.coeffs, other.coeffs
         if not xs or not ys:
             return _P_ZERO
@@ -122,6 +131,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __divmod__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -310,8 +321,7 @@ class RatFunc:
             return self.__mul__(1 / Fraction(other))
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return RatFunc(self.top * other.bot, self.bot * other.top,
-                       self.val - other.val)
+        return self.__mul__(other._inverse())
 
     def __rtruediv__(self, other):
         # __mul__, not *, so that `combination / q` stays a TypeError
@@ -457,10 +467,7 @@ class Combination:
         data = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for k, c in items:
-            if isinstance(c, float):
-                raise TypeError(f"inexact coefficient {c!r}; use an int, "
-                                "Fraction or RatFunc")
-            add_term(data, k, c)
+            add_term(data, k, exact(c))
         self.terms = data
 
     @classmethod

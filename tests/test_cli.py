@@ -153,6 +153,11 @@ def test_check_hef_files(tmp_path, capsys):
                        "--unchecked")
     assert code == 1 and "confluent: False" in out
 
+    # a zero on the diagonal of F is refused before the trace conditions
+    fpath.write_text("2 2\n1 0\n1 0\n")
+    assert run(capsys, "check", "hef", "--E", str(epath), "--F", str(fpath)) \
+        == (2, "", "error: F is singular (zero diagonal entry)\n")
+
 
 def test_check_file_preset(tmp_path, capsys):
     path = tmp_path / "pres.txt"
@@ -230,6 +235,25 @@ def test_file_rule_order_error_names_line_and_generators(tmp_path, capsys):
     assert "(line 6, column 1)" in err
 
 
+@pytest.mark.parametrize("argv, payload", [
+    (["fuse", "a", "b", "-n", "2"],
+     {"x": "a", "y": "b", "product": [["ab", 1], ["e", 1]],
+      "dims": {"n": 2, "summands": [3, 1], "total": 4}}),
+    (["psi", "ab"],
+     {"word": "ab", "image": "Z^1 V_2 Z^-1",
+      "factors": [{"kind": "Z", "index": 1}, {"kind": "V", "index": 2},
+                  {"kind": "Z", "index": -1}], "dim": 3}),
+    (["basis", "slq2", "--max-len", "1"],
+     {"presentation": "slq2 (q = sym)", "max_len": 1, "count": 5,
+      "monomials": ["1", "a", "b", "c", "d"]}),
+    (["free-check", "hq", "--letters", "a,b", "--max-len", "4"],
+     {"presentation": "hq (q = sym)", "letters": ["a", "b"], "max_len": 4,
+      "free": True, "seed": 0})], ids=["fuse", "psi", "basis", "free-check"])
+def test_json_writers(capsys, argv, payload):
+    code, blob, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "") and json.loads(blob) == payload
+
+
 def test_basis_and_free_check(capsys, tmp_path):
     code, out, _ = run(capsys, "basis", "slq2", "--max-len", "2")
     assert code == 0
@@ -268,6 +292,21 @@ def test_q_degree_is_a_usage_error(capsys):
     # each literal is in bounds; their product is not
     assert run(capsys, "check", "hq", "--q", "q^10000*q^10000") == (
         2, "", "error: q degree beyond 10000 (position 7)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "hef", "--F", "f.mat"], "hef needs --E and --F matrix files"),
+    (["check", "file"], "preset 'file' needs --file")])
+def test_missing_preset_input_is_a_usage_error(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_non_integer_max_len_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "basis", "hq", "--max-len", "x")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: cosov basis ")
+    assert err.endswith("cosov basis: error: argument --max-len: "
+                        "expected an integer >= 0, got 'x'\n")
 
 
 def test_negative_max_len_is_a_usage_error(capsys):
@@ -455,6 +494,23 @@ def test_aaut_relations(tmp_path, capsys):
     assert any("X11^11" in rel for rel in data["families"]["counit"])
 
 
+def test_aaut_relations_text(tmp_path, capsys):
+    path = tmp_path / "f.mat"
+    path.write_text("2 2\n2 0\n0 1/2\n")
+    code, out, err = run(capsys, "aaut-relations", "--F", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("generators: 16\n[multiplicative] (64 relations)\n")
+    # the families of the JSON writer, in its order, two spaces in
+    data = json.loads(run(capsys, "aaut-relations", "--F", str(path),
+                          "--format", "json")[1])
+    lines = [f"generators: {len(data['generators'])}"]
+    for name, relations in data["families"].items():
+        lines.append(f"[{name}] ({len(relations)} relations)")
+        lines.extend("  " + r for r in relations)
+    assert out == "\n".join(lines) + "\n"
+    assert len(lines) == 1 + 4 + 64 + 64 + 4 + 4
+
+
 @pytest.mark.parametrize("text, message", [
     ("2 2\n1 1\n1 1\n", "singular"),
     ("2 3\n1 0 0\n0 1 0\n", "F must be square"),
@@ -523,6 +579,14 @@ def test_lazy_parser_matches_the_eager_one():
         assert got["func"] is COMMANDS[argv[0]][0]
         assert list(ap._commands.choices) == [argv[0]]
         assert vars(reused.parse_args(argv)) == got
+
+
+def test_python_m_runs_the_cli():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "cosovereign", "fuse", "a",
+                           "b"], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ab + e\n", "")
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,14 @@ def test_inverse_examples():
     mi = inverse(m)
     assert mi == ExactMatrix([[1, 0], [-1, 1]])
     assert m * mi == ExactMatrix.identity(2)
+
+
+def test_exact_matrix_rejects_inexact_entries_and_ragged_rows():
+    for c in (1j, Decimal("0.5"), "1/2"):
+        with pytest.raises(TypeError, match="inexact"):
+            ExactMatrix([[1, 0], [0, c]])
+    with pytest.raises(ValueError, match="ragged rows in matrix"):
+        ExactMatrix([[1, 2], [3]])
 
 
 def test_singular_rejected_with_diagnostic():
@@ -280,6 +289,10 @@ def test_matrix_parse_errors_have_position():
         parse_matrix("2 2\n1 2 3\n4 5\n")
     with pytest.raises(ParseError, match="header"):
         parse_matrix("nonsense\n")
+    with pytest.raises(ParseError) as exc:
+        parse_matrix("0 2\n")
+    assert str(exc.value) == ("matrix dimensions must be positive "
+                              "(line 1, column 1)")
 
 
 def test_matrix_comments_and_trailing_lines():

@@ -1,5 +1,6 @@
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -236,6 +237,17 @@ def test_q_zero_rejected():
     for builder in (build_hq, build_hplusq, build_slq2, build_freeprod):
         with pytest.raises(ValueError):
             builder(0)
+    with pytest.raises(ValueError, match="q must be nonzero"):
+        standard_pi_images(0, build_freeprod(q))
+
+
+def test_inexact_q_rejected():
+    fp = build_freeprod(q)
+    for builder in (build_slq2, build_hq, matrix_fq,
+                    lambda qv: standard_pi_images(qv, fp)):
+        for qv in (1j, Decimal("1.5"), "3/2"):
+            with pytest.raises(TypeError, match="inexact"):
+                builder(qv)
 
 
 def test_build_hplusq():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,7 @@ def test_parse_presentation_errors():
     ("a.a -> a + 2*z", 4, 12, "not a term: '2*z'"),
     ("a.a ->  a - 1/0*a", 4, 16, "zero denominator"),
     ("a.a -> a +", 4, 10, "empty term"),
+    ("a.a.a -> 1\na.a -> a/a", 5, 9, "divisor must be a scalar"),
     ("a.a -> 1\n   a -> a.a", 5, 4, "not order-compatible"),
     ("a.a -> 1\ngenerators:\nb", 5, 1, "repeated 'generators:' header"),
     ("a.a -> 1\n\trules:", 5, 2, "repeated 'rules:' header"),
@@ -362,6 +364,13 @@ def test_ncpolynomial_rejects_floats():
         # a Fraction stays exact instead of being truncated to 0
         half = cls({key: Fraction(1, 2)})
         assert not half.is_zero() and half.coefficient(key) == Fraction(1, 2)
+        for c in (1j, Decimal("0.5"), "2"):
+            with pytest.raises(TypeError, match="inexact"):
+                cls({key: c})
+            with pytest.raises(TypeError, match="inexact"):
+                c * cls({key: 1})
+    # an int stays an int, so fusion multiplicities stay JSON-ready
+    assert type(FusionElement({"ab": 2}).coefficient("ab")) is int
 
 
 # -- the engine against reducers written apart from it ----------------------

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -214,9 +215,16 @@ def test_poly_divmod_and_gcd():
     assert Poly.gcd(a, b) == Poly([1, 1])
 
 
+#: Values that are no exact scalar: neither rounded nor parsed.
+INEXACT = [1j, Decimal("0.1"), "1/2"]
+
+
 def test_poly_rejects_floats():
     with pytest.raises(TypeError, match="inexact"):
         Poly([1, 0.1])
+    for c in INEXACT:
+        with pytest.raises(TypeError, match="inexact"):
+            Poly([1, c])
 
 
 def test_ratfunc_rejects_floats():
@@ -224,6 +232,23 @@ def test_ratfunc_rejects_floats():
         RatFunc(0.5)
     with pytest.raises(TypeError, match="inexact"):
         RatFunc(1, 0.5)
+    for c in INEXACT:
+        with pytest.raises(TypeError, match="inexact"):
+            RatFunc(c)
+        with pytest.raises(TypeError, match="inexact"):
+            RatFunc(Poly([1, 1]), c)
+
+
+def test_poly_refuses_foreign_operands():
+    p = Poly([1, 2])
+    for op in (lambda: p + 1, lambda: p - 1, lambda: p * 0.5,
+               lambda: 0.5 * p, lambda: p * 1j, lambda: divmod(p, 2),
+               lambda: p // 2, lambda: p % 2):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+    # scaling by an exact number still works
+    assert p * 2 == 2 * p == Poly([2, 4])
+    assert p * Fraction(1, 2) == Poly([Fraction(1, 2), 1])
 
 
 def _parts(x):
