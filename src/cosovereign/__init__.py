@@ -8,7 +8,8 @@ from .matrices import (ExactMatrix, NonSquareError, SingularMatrixError,
                        is_generic, is_normalizable, is_normalized, load_matrix,
                        parse_matrix, similar, trace)
 from .words import (FusionElement, bar, dim, dim_element, dual, fuse,
-                    fusion_table, odot, parse_word, word_str, words_up_to)
+                    fusion_table, odot, parse_word, summands, word_str,
+                    words_up_to)
 from .repring import (RepElement, alt_dim, check_alt_word, clebsch_gordan,
                       multiply, parse_alt_word, psi, psi_word,
                       render_alt_word, so3_fuse)

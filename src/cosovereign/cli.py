@@ -6,9 +6,9 @@ or morphism check that fails), and 2 for usage or parse errors.  Output is
 deterministic for a fixed command line; the seed option is echoed into every
 report so randomized sweeps driven from these reports stay reproducible.
 
-The parser adds only the subparser of the command a call names; `--help`,
-no command or an unknown one adds them all, and so does any top-level error,
-so every usage text lists every command.
+A call builds only the parser of the command it names; `--help`, a missing
+or unknown command and leftover arguments build the parser holding every
+command, so every top-level usage text lists every command.
 """
 
 from __future__ import annotations
@@ -130,23 +130,22 @@ _JSON_SUMMANDS = '",\n          1\n        ],\n        [\n          "'
 
 def _table_json(table, max_len, seed):
     """`json.dumps(payload, indent=2)` of the table, written in one pass:
-    words are `a`/`b` strings or `e`, so nothing needs escaping, and `fuse`
-    gives each summand once, so every multiplicity is 1."""
+    words are `a`/`b` strings or `e`, so nothing needs escaping, and every
+    multiplicity is 1."""
     entries = ",\n".join(
         _JSON_ENTRY.format(word_str(x), word_str(y),
-                           _JSON_SUMMANDS.join(map(word_str, p.terms)))
+                           _JSON_SUMMANDS.join(map(word_str, p)))
         for x, y, p in table)
     return (f'{{\n  "max_len": {max_len},\n  "seed": {seed},\n'
             f'  "entries": [\n{entries}\n  ]\n}}')
 
 
 def cmd_table(args):
-    # `fuse` inserts its summands leading term first, so a product's text
-    # is its words in order
+    # each product is its summand words, leading term first
     table = fusion_table(args.max_len)
     _emit(args, lambda: _table_json(table, args.max_len, args.seed),
           lambda: "\n".join(f"{word_str(x)} {word_str(y)} -> "
-                            f"{' + '.join(map(word_str, p.terms))}"
+                            f"{' + '.join(map(word_str, p))}"
                             for x, y, p in table))
     return 0
 
@@ -314,48 +313,40 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """The top-level `cosov` parser, built with no subparsers; `parse_args`
-    adds only the one its first argument names."""
+def _command_parser(name, parent=None):
+    """The parser of command `name`, filled from `COMMANDS`: a subparser of
+    `parent` when given, else a parser of its own with the same prog."""
+    func, help_text, specs = COMMANDS[name]
+    p = (parent.add_parser(name, help=help_text) if parent else
+         argparse.ArgumentParser(prog=f"cosov {name}"))
+    for flags, options in specs:
+        p.add_argument(*flags, **options)
+    p.set_defaults(func=func, command=name)
+    return p
 
-    def __init__(self):
-        super().__init__(
-            prog="cosov",
-            description="Exact fusion rules and rewriting checks for "
-                        "universal cosovereign Hopf algebras.")
-        self._commands = self.add_subparsers(
-            dest="command", required=True,
-            parser_class=argparse.ArgumentParser)
 
-    def _add(self, names):
-        """Add the subparsers of `names` from `COMMANDS` not yet added."""
-        for name in names:
-            if name in self._commands.choices:
-                continue
-            func, help_text, specs = COMMANDS[name]
-            p = self._commands.add_parser(name, help=help_text)
-            for flags, options in specs:
-                p.add_argument(*flags, **options)
-            p.set_defaults(func=func)
-        return self
-
-    def parse_args(self, args=None, namespace=None):
-        """Parse after adding the subparser `args[0]` names, or all of them
-        when it names none."""
-        args = sys.argv[1:] if args is None else list(args)
-        self._add([args[0]] if args and args[0] in COMMANDS else COMMANDS)
-        return super().parse_args(args, namespace)
-
-    def error(self, message):
-        """Exit 2 with the usage of a parser holding every command."""
-        if len(self._commands.choices) < len(COMMANDS):
-            _Parser()._add(COMMANDS).error(message)
-        super().error(message)
+def parse_args(argv=None):
+    """Parse `argv` (default `sys.argv[1:]`) with only the parser of the
+    command it names.  `--help`, a missing or unknown command and leftover
+    arguments go to the parser holding every command, which reports them."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    ap = argparse.ArgumentParser(
+        prog="cosov",
+        description="Exact fusion rules and rewriting checks for "
+                    "universal cosovereign Hopf algebras.")
+    commands = ap.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        _command_parser(name, commands)
+    return ap.parse_args(argv)
 
 
 def build_parser():
-    """The `cosov` parser; set-up of a subparser waits for `parse_args`."""
-    return _Parser()
+    """An object whose `parse_args` is this module's `parse_args`."""
+    return argparse.Namespace(parse_args=parse_args)
 
 
 def main(argv=None):

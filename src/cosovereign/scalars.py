@@ -571,6 +571,104 @@ def parse_integer(m, group=0):
                          pos=m.start(group)) from None
 
 
+def _q_degree(c):
+    """The larger degree in q of a scalar's reduced numerator and
+    denominator, its power of q included; 0 for a Fraction."""
+    if not isinstance(c, RatFunc):
+        return 0
+    return max(c.top.degree() + max(c.val, 0),
+               c.bot.degree() + max(-c.val, 0))
+
+
+class _Laurent:
+    """A Laurent scalar that `_Reader.sum` is adding up: exponent -> nonzero
+    coefficient, so a term costs its own size and not the sum's.  `lo` <= 0
+    <= `hi` bound the exponents present; cancellation can leave them too
+    wide, so they are made exact whenever the degree they give is too big."""
+
+    __slots__ = ("powers", "lo", "hi")
+
+    def __init__(self):
+        self.powers, self.lo, self.hi = {}, 0, 0
+
+    def add(self, c):
+        """self += c for an int, a Fraction or a Laurent RatFunc; the q degree
+        of the sum, as `_q_degree` gives it."""
+        powers = self.powers
+        if isinstance(c, RatFunc):
+            for e, a in enumerate(c.top.coeffs, c.val):
+                if a:
+                    add_term(powers, e, a)
+            self.lo = min(self.lo, c.val)
+            self.hi = max(self.hi, c.val + c.top.degree())
+        else:
+            add_term(powers, 0, c)
+        if self.hi - self.lo > _MAX_Q_EXPONENT:
+            self.lo, self.hi = min(0, *powers), max(0, *powers)
+        return self.hi - self.lo
+
+    def value(self):
+        """The sum in the one form every scalar has."""
+        powers = self.powers
+        if not powers:
+            return _F_ZERO
+        lo, hi = min(powers), max(powers)
+        if lo == hi == 0:
+            return powers[0]
+        return RatFunc._of(lo, _poly(tuple(
+            Fraction(powers.get(e, 0)) for e in range(lo, hi + 1))), _P_ONE)
+
+
+class _Sum:
+    """The running sum of `_Reader.sum`: one coefficient per key, a scalar's
+    under the key (), each a `_Laurent` until a term brings it any other
+    RatFunc and a plain scalar from then on."""
+
+    __slots__ = ("like", "coeffs")
+
+    def __init__(self, first):
+        self.like, self.coeffs = None, {}
+        self.add(first, False)
+
+    def add(self, term, negate):
+        """Add `term`, or subtract it when `negate`; the largest q degree of
+        the coefficients this changed."""
+        if isinstance(term, Combination):
+            if self.like is None:
+                self.like = term
+            items = term.terms.items()
+        else:
+            items = (((), term),)
+        coeffs, degree = self.coeffs, 0
+        for key, c in items:
+            if negate:
+                c = -c
+            cur = coeffs.get(key)
+            if cur is None:
+                cur = coeffs[key] = _Laurent()
+            if isinstance(cur, _Laurent):
+                if not isinstance(c, RatFunc) or len(c.bot.coeffs) == 1:
+                    degree = max(degree, cur.add(c))
+                    if not cur.powers:
+                        del coeffs[key]
+                    continue
+                cur = cur.value()
+            cur = cur + c
+            degree = max(degree, _q_degree(cur))
+            if cur:
+                coeffs[key] = cur
+            else:
+                del coeffs[key]
+        return degree
+
+    def value(self):
+        coeffs = {k: c.value() if isinstance(c, _Laurent) else c
+                  for k, c in self.coeffs.items()}
+        if self.like is None:
+            return coeffs.get((), _F_ZERO)
+        return self.like._of(coeffs)
+
+
 class _Reader:
     """Recursive-descent evaluator of the expression grammar
 
@@ -582,6 +680,8 @@ class _Reader:
     A value is a Fraction unless it depends on q, and a RatFunc then.  Names
     evaluate through `names`, which maps them to Combinations keyed by
     tuples.  '.' joins two names only, so a float such as 0.5 is no product.
+    Every binary operator bounds the q degree of the value it makes, as the
+    numerators and denominators it reduces to are dense.
     """
 
     def __init__(self, text, names):
@@ -601,34 +701,35 @@ class _Reader:
         if self.depth > _MAX_DEPTH:
             raise self.error(f"nested deeper than {_MAX_DEPTH} levels")
 
-    def arith(self, op, x, y, at):
-        """x op y, op one of '+', '-', '*' at position `at`.  A scalar that
-        meets a Combination is first lifted onto its unit key ().  Every
-        binary operator comes here, so this bounds the degrees of the
-        reduced numerators and denominators, which are dense."""
+    def times(self, x, y, at):
+        """x * y for the operator at position `at`.  A scalar that meets a
+        Combination is first lifted onto its unit key ()."""
         if isinstance(x, Combination) != isinstance(y, Combination):
             if isinstance(x, Combination):
                 y = x._of({(): y} if y else {})
             else:
                 x = y._of({(): x} if x else {})
-        value = x + y if op == "+" else x - y if op == "-" else x * y
+        value = x * y
         for c in (value.terms.values() if isinstance(value, Combination)
                   else (value,)):
-            if isinstance(c, RatFunc) and max(
-                    c.top.degree() + max(c.val, 0),
-                    c.bot.degree() + max(-c.val, 0)) > _MAX_Q_EXPONENT:
+            if _q_degree(c) > _MAX_Q_EXPONENT:
                 raise self.error(f"q degree beyond {_MAX_Q_EXPONENT}", at)
         return value
 
     def sum(self):
+        """A sum costs about its length: its terms go into a `_Sum`."""
         value = self.product()
+        if self.peek() not in ("+", "-"):
+            return value
+        total = _Sum(value)
         while (op := self.peek()) in ("+", "-"):
             at = self.i
             self.i += 1
             if self.peek() in ("", ")"):
                 raise self.error(f"empty term after {op!r}", at)
-            value = self.arith(op, value, self.product(), at)
-        return value
+            if total.add(self.product(), op == "-") > _MAX_Q_EXPONENT:
+                raise self.error(f"q degree beyond {_MAX_Q_EXPONENT}", at)
+        return total.value()
 
     def product(self):
         self.peek()
@@ -646,7 +747,7 @@ class _Reader:
                 if not rhs:
                     raise self.error("zero denominator")
                 rhs = 1 / rhs
-            value, named = self.arith("*", value, rhs, at), rhs_named
+            value, named = self.times(value, rhs, at), rhs_named
         return value
 
     def factor(self, start):

@@ -76,19 +76,25 @@ class FusionElement(Combination):
         return [[word_str(w), c] for w, c in self.pairs()]
 
 
-def fuse(x, y):
-    """Decomposition of U_x tensor U_y into simple labels; equals odot(x, y).
-
-    Cancelling k letters is a splitting while x[-1-i] != y[i] for all i < k.
-    The summands are inserted for k = 0, 1, ..., so in leading-term order.
-    """
+def summands(x, y):
+    """The words of x (*) y, leading term first: x[:len(x)-k] + y[k:] for
+    k = 0..K, K the cancellation length, which is the common-prefix length
+    of y and bar(x) (x[-1-i] != y[i] for all i < K)."""
     most = 0
     for s, t in zip(reversed(x), y):
         if s == t:
             break
         most += 1
+    if not most:
+        return (x + y,)
     n = len(x)
-    return FusionElement._of({x[:n - k] + y[k:]: 1 for k in range(most + 1)})
+    return tuple(x[:n - k] + y[k:] for k in range(most + 1))
+
+
+def fuse(x, y):
+    """Decomposition of U_x tensor U_y into simple labels; equals odot(x, y).
+    Its terms are `summands(x, y)`, each once, inserted in that order."""
+    return FusionElement._of(dict.fromkeys(summands(x, y), 1))
 
 
 def odot(x, y):
@@ -124,9 +130,11 @@ def words_up_to(max_len):
 
 
 def fusion_table(max_len):
-    """All pairwise products of words up to max_len, in canonical order."""
+    """(x, y, summands(x, y)) for all words x, y up to max_len, in canonical
+    order: each product is a tuple of summand words, leading term first,
+    and every multiplicity is 1."""
     if max_len > TABLE_MAX_LEN:
         raise ValueError(
             f"fusion table bound exceeded: max_len {max_len} > {TABLE_MAX_LEN}")
     ws = words_up_to(max_len)
-    return [(x, y, fuse(x, y)) for x in ws for y in ws]
+    return [(x, y, summands(x, y)) for x in ws for y in ws]

@@ -1,6 +1,6 @@
 """Shared generators for randomized exact-matrix tests and H(E, F) pairs,
-a reference recurrence for label dimensions, the splitting sum and the
-four-similarity isomorphism search that the closed forms replaced,
+a reference recurrence for label dimensions, the splitting sum read off
+the definition of the fusion product and the four-similarity isomorphism search that the closed forms replaced,
 reference readers for scalars and rule right sides, the printer of scalars
 and combinations that `render_terms` replaced, the `cosov table` JSON
 payload and text lines that its one-pass writers replaced, a reader of that
@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 
 from cosovereign import (Alphabet, ExactMatrix, FusionElement, ParseError,
                          Poly, RatFunc, RewriteSystem, Rule, bar,
-                         build_freeprod, build_hq, check_morphism,
-                         fusion_table, inverse, is_generic, parse_word, q,
-                         similar, word_str)
+                         build_freeprod, build_hq, check_morphism, fuse,
+                         inverse, is_generic, parse_word, q, similar,
+                         word_str, words_up_to)
 from cosovereign.cli import COMMANDS
 from cosovereign.rewriting import (Ambiguity, NCPolynomial, apply_rule_at,
                                    deglex_key, deglex_less)
@@ -165,16 +165,24 @@ labels = st.lists(st.tuples(st.sampled_from(("a", "b", "ab", "ba")),
     lambda runs: "".join(piece * k for piece, k in runs)[:400])
 
 
-def reference_fuse(x, y):
-    """x (*) y by trying every cut x = a.g and keeping those where bar(g)
-    is a prefix of y."""
-    out = {}
-    for cut in range(len(x) + 1):
+def splitting_summands(x, y):
+    """The words a.b over every g with x = a.g and y = bar(g).b, found by
+    trying every suffix g of x, shortest first (so leading term first),
+    each as often as it occurs."""
+    out = []
+    for cut in range(len(x), -1, -1):
         a, g = x[:cut], x[cut:]
         gb = bar(g)
         if y.startswith(gb):
-            w = a + y[len(gb):]
-            out[w] = out.get(w, 0) + 1
+            out.append(a + y[len(gb):])
+    return out
+
+
+def reference_fuse(x, y):
+    """x (*) y as the `FusionElement` of `splitting_summands`."""
+    out = {}
+    for w in splitting_summands(x, y):
+        out[w] = out.get(w, 0) + 1
     return FusionElement(out)
 
 
@@ -705,13 +713,19 @@ def reference_render(combination, render_key):
     return "".join(parts) or "0"
 
 
+def _reference_table(max_len):
+    """(x, y, fuse(x, y)) for every pair of words up to max_len."""
+    ws = words_up_to(max_len)
+    return [(x, y, fuse(x, y)) for x in ws for y in ws]
+
+
 def reference_table_payload(max_len, seed):
     """The payload `cosov table --format json` printed as
     `json.dumps(payload, indent=2)` before it wrote its JSON in one pass."""
     return {"max_len": max_len, "seed": seed,
             "entries": [{"x": word_str(x), "y": word_str(y),
                          "product": p.to_pairs()}
-                        for x, y, p in fusion_table(max_len)]}
+                        for x, y, p in _reference_table(max_len)]}
 
 
 def element_from_pairs(pairs):
@@ -729,7 +743,7 @@ def parse_table_payload(blob):
 def reference_table_lines(max_len):
     """The lines `cosov table` printed through `FusionElement.render`."""
     return [f"{word_str(x)} {word_str(y)} -> {p.render()}"
-            for x, y, p in fusion_table(max_len)]
+            for x, y, p in _reference_table(max_len)]
 
 
 # texts in the grammar the reference readers accept: terms c, c/d, c*q^k and

@@ -1,3 +1,4 @@
+import argparse
 import json
 import pathlib
 import subprocess
@@ -567,18 +568,58 @@ VALID_ARGVS = (
 )
 
 
-def test_lazy_parser_matches_the_eager_one():
-    """The parser that adds only the named subparser gives the namespace of
-    the one that adds them all, `func` included."""
+def test_lazy_parser_matches_the_eager_one(monkeypatch):
+    """The parser that builds only the named command's parser gives the
+    namespace of the one that adds every subparser, `func` included."""
     assert {argv[0] for argv in VALID_ARGVS} == set(COMMANDS)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
     reused = build_parser()
     for argv in VALID_ARGVS:
-        ap = build_parser()
-        got = vars(ap.parse_args(argv))
-        assert got == vars(reference_parser().parse_args(argv)), argv
+        expected = vars(reference_parser().parse_args(argv))
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        built.clear()
+        got = vars(build_parser().parse_args(argv))
+        monkeypatch.undo()
+        assert got == expected, argv
         assert got["func"] is COMMANDS[argv[0]][0]
-        assert list(ap._commands.choices) == [argv[0]]
+        assert built == [f"cosov {argv[0]}"], argv
         assert vars(reused.parse_args(argv)) == got
+
+
+#: Command lines that end in a usage error or in help, on either parser.
+USAGE_ARGVS = (
+    [], ["nope"], ["-h"], ["--help"], ["-h", "fuse"], ["fuse", "-h"],
+    ["fuse", "--he"], ["fuse", "ab", "ba", "--bogus"],
+    ["fuse", "ab", "ba", "--", "x"], ["fuse", "ab", "ba", "extra"],
+    ["fuse", "--", "ab", "ba", "x"], ["fuse", "ab"], ["fuse"],
+    ["fuse", "--format", "xml", "ab", "ba"], ["fuse", "ab", "ba", "-n"],
+    ["dim", "ab", "x"], ["dual"], ["psi", "ab", "--format"],
+    ["check", "nope"], ["check"], ["check", "hef", "--E"],
+    ["check", "hq", "--seed", "x"], ["basis", "hq"],
+    ["basis", "hq", "--max-len", "2", "--bogus", "1"],
+    ["free-check", "hq", "--max-len", "2"], ["table", "--max-len", "-1"],
+    ["table", "--max-len"], ["table", "extra"], ["iso", "--E", "e"],
+    ["verify-pi", "--q"], ["aaut-relations"], ["--bogus", "fuse", "a", "b"],
+)
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+def test_usage_errors_match_the_eager_parser(capsys, argv):
+    """`main` exits with the code, stdout and stderr that the parser holding
+    every subparser gives, through the same `SystemExit` handling."""
+    got = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        reference_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    code = exc.value.code if exc.value.code is not None else 2
+    assert got == (code, captured.out, captured.err)
+    assert code in (0, 2)
 
 
 def test_python_m_runs_the_cli():

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -96,6 +97,59 @@ def test_parse_scalar_bounds_q_exponents(text, message, pos):
     assert parse_scalar("q^10000") * parse_scalar("q^-10000") == 1
     assert parse_scalar("q^5000*q^5000") == q ** 10_000
     assert parse_scalar("q^10000*q^-10000") == 1
+
+
+#: Sums whose running value first passes the degree bound at the operator
+#: at `pos`, cancellations included: a term that cancels narrows the sum
+#: again, and a quotient term leaves the Laurent fast path.
+_LONG_SUM = "+".join(f"q^{k}" for k in range(0, 10_001, 7))
+_SUM_BOUND_ERRORS = [
+    ("1+q^10000+q^-1", 9), ("q^10000 + 1 - q^10000 + q^-10000 + q", 33),
+    ("q^10000 + q^2 - q^10000 + q^-9999 - q^2 + q^-1 - q^-1", 24),
+    ("1/(q-1) + q^10000", 8), ("q^-10000 + 1/(q-1) - 1/(q-1) + q", 9),
+    (_LONG_SUM + "+q^-1+q^-2+q^-3+q^-4-q^-5", len(_LONG_SUM) + 20)]
+
+
+@pytest.mark.parametrize("text, pos", _SUM_BOUND_ERRORS,
+                         ids=[text[:40] for text, _ in _SUM_BOUND_ERRORS])
+def test_sum_degree_error_positions(text, pos):
+    with pytest.raises(ParseError, match="q degree beyond 10000") as exc:
+        parse_scalar(text)
+    assert exc.value.pos == pos
+
+
+def test_sum_degree_error_in_a_combination():
+    a = NCPolynomial({(0,): 1})
+    with pytest.raises(ParseError, match="q degree beyond 10000") as exc:
+        parse_expression("a + q^10000*a + q^-1*a", {"a": a})
+    assert exc.value.pos == 14
+    value = parse_expression("q^10000*a - q^10000*a + q^-10000*a + 2", {"a": a})
+    assert value == NCPolynomial({(0,): q ** -10_000, (): 2})
+
+
+@pytest.mark.parametrize("text, value", [
+    ("q^10000 - q^10000 + q^-10000", q ** -10_000),
+    ("(q^10000 - q^10000) + q^-10000 + (q^3 - q^3)", q ** -10_000),
+    ("q^5000 + q^10000 - q^10000 + q^-5000 + q^-1 + 1",
+     q ** 5000 + 1 + 1 / q + q ** -5000),
+    (_LONG_SUM + "+q^-1+q^-2+q^-3+q^-4",
+     sum((q ** k for k in range(0, 10_001, 7)), Fraction(0))
+     + sum(q ** -k for k in range(1, 5))),
+    ("1 + 2 - 3", Fraction(0)), ("q - q", Fraction(0)),
+    ("(q + 1) - q", Fraction(1)), ("1/(q-1) + q - q", 1 / (q - 1))],
+    ids=lambda v: v[:40] if isinstance(v, str) else "")
+def test_sums_within_the_bound(text, value):
+    got = parse_scalar(text)
+    assert got == value and type(got) is type(value)
+
+
+def test_long_sums_read_in_linear_time():
+    # adding each term into one dense numerator took about 13 s at n = 4000
+    text = "+".join(f"q^{k}" for k in range(4000))
+    start = time.perf_counter()
+    value = parse_scalar(text)
+    assert time.perf_counter() - start < 3
+    assert value == RatFunc(Poly([1] * 4000))
 
 
 @needs_digit_limit

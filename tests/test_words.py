@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from cosovereign import (FusionElement, ParseError, bar, dim, dim_element,
-                         dual, fuse, fusion_table, odot, parse_word, word_str,
-                         words_up_to)
-from _helpers import element_from_pairs, labels, reference_fuse
+                         dual, fuse, fusion_table, odot, parse_word, summands,
+                         word_str, words_up_to)
+from _helpers import (element_from_pairs, labels, reference_fuse,
+                      splitting_summands)
 
 
 def fe(*words):
@@ -196,11 +197,45 @@ def test_fusion_table():
     table = fusion_table(1)
     assert len(table) == 9
     lookup = {(x, y): p for x, y, p in table}
-    assert lookup[("a", "b")] == fe("ab", "")
-    assert lookup[("b", "b")] == fe("bb")
+    assert lookup[("a", "b")] == ("ab", "")
+    assert lookup[("b", "b")] == ("bb",)
     assert len(fusion_table(2)) == 49
     with pytest.raises(ValueError):
         fusion_table(9)
+
+
+@pytest.mark.parametrize("max_len", range(6))
+def test_fusion_table_is_the_splitting_sum(max_len):
+    """Every product is the tuple of summands the definition gives, leading
+    term first, each once."""
+    ws = words_up_to(max_len)
+    table = fusion_table(max_len)
+    assert [(x, y) for x, y, _ in table] == [(x, y) for x in ws for y in ws]
+    for x, y, p in table:
+        assert type(p) is tuple
+        assert list(p) == splitting_summands(x, y)
+
+
+_SHORT_WORDS = st.text(alphabet="ab", max_size=40)
+
+
+@st.composite
+def _meeting_words(draw):
+    """(x, y) of up to 40 letters, where half the time y starts with bar of
+    a suffix of x, so that long cancellations occur."""
+    x = draw(_SHORT_WORDS)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(x)))
+        return x, (bar(x[len(x) - k:]) + draw(_SHORT_WORDS))[:40]
+    return x, draw(_SHORT_WORDS)
+
+
+@seed(2002)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_meeting_words())
+def test_summands_are_the_splitting_sum(xy):
+    x, y = xy
+    assert list(summands(x, y)) == splitting_summands(x, y)
 
 
 def test_random_associativity_long_words():
