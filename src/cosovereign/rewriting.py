@@ -7,7 +7,9 @@ that compatibility is enforced at construction and guarantees termination of
 reduction, since deg-lex is a well-order that respects concatenation on both
 sides.  Reduction keeps one redex order (leftmost redex, longest lhs, lowest
 rule index), so a monomial is always rewritten the same way and `reduce` is
-linear, whether or not the rules are confluent.
+linear, whether or not the rules are confluent.  It carries integral Laurent
+coefficients over one shared int denominator, unless a coefficient is a true
+quotient, and turns them back into scalars only in the normal form.
 
 An ambiguity is a monomial reducible by two rules in two ways: an overlap
 (a proper suffix of one left side equals a proper prefix of another) or an
@@ -24,9 +26,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 
-from .scalars import (NAME, Combination, ParseError, parse_expression,
-                      render_terms)
+from .scalars import (NAME, Combination, ParseError, add_term, clear,
+                      parse_expression, render_terms, uncleared)
 
 
 def _name_error(name, seen):
@@ -166,11 +169,12 @@ class RewriteSystem:
     """A presentation: generators plus rules, compiled for matching.
 
     `index` maps each distinct lhs to the lowest rule index with that lhs;
-    `lengths` lists the distinct lhs lengths, longest first.  Every letter
-    of every rule must lie in the alphabet.
+    `lengths` lists the distinct lhs lengths, longest first; `cleared`, each
+    rule's right side as `scalars.clear` gives it, or None if one does not
+    clear.  Every letter of every rule must lie in the alphabet.
     """
 
-    __slots__ = ("alphabet", "rules", "index", "lengths")
+    __slots__ = ("alphabet", "rules", "index", "lengths", "cleared")
 
     def __init__(self, alphabet, rules):
         self.alphabet = alphabet
@@ -185,6 +189,8 @@ class RewriteSystem:
             index.setdefault(rule.lhs, i)
         self.index = index
         self.lengths = tuple(sorted({len(l) for l in index}, reverse=True))
+        cleared = [clear(rule.rhs.terms.items()) for rule in self.rules]
+        self.cleared = None if None in cleared else cleared
 
     def export(self):
         """The presentation file text, which `parse_presentation` reads."""
@@ -199,23 +205,28 @@ class RewriteSystem:
                 for rule in self.rules]
 
 
-def _find_redex(m, system):
-    """(pos, rule) of the leftmost redex, or None.
+def _leftmost(m, index, lengths):
+    """(pos, lhs length, rule index) of the leftmost redex, or None.
 
     At one position at most one lhs of each length matches, so trying the
     lengths longest first picks the deg-lex-largest matching lhs, and the
     index holds the lowest rule index for it.
     """
     n = len(m)
-    index, lengths = system.index, system.lengths
     for pos in range(n):
         room = n - pos
         for size in lengths:
             if size <= room:
                 idx = index.get(m[pos:pos + size])
                 if idx is not None:
-                    return pos, system.rules[idx]
+                    return pos, size, idx
     return None
+
+
+def _find_redex(m, system):
+    """(pos, rule) of the leftmost redex, or None."""
+    hit = _leftmost(m, system.index, system.lengths)
+    return hit and (hit[0], system.rules[hit[2]])
 
 
 def apply_rule_at(m, rule, pos):
@@ -232,26 +243,47 @@ def reduce(p, system):
     Terminates for order-compatible rules because every step replaces a
     monomial by strictly smaller ones.  Each monomial is rewritten at its
     leftmost redex, so its normal form does not depend on the rest of `p`.
-    `work` is keyed by `deglex_key`, so `max` picks the deg-lex-largest
-    monomial with no key function; every term a step adds is smaller than
-    the one it rewrites, so a popped monomial never comes back.
+    The coefficients are integral Laurent polynomials over one shared int
+    denominator (`scalars.clear`), or the scalars themselves when the rules
+    or `p` have a true quotient coefficient.
     """
-    work = {(len(m), m): c for m, c in p.terms.items()}
+    cleared = system.cleared is not None and clear(p.terms.items())
+    den, terms = cleared or (None, p.terms.items())
+    return _normal_form({(len(m), m): c for m, c in terms}, den, system)
+
+
+def _normal_form(work, den, system):
+    """`reduce` of the sum of c/den*m over `work`, which maps `deglex_key(m)`
+    to the nonzero c (so `max` needs no key function; a popped m never comes
+    back), or of the scalars c if `den` is None.  A step by a rule over d
+    divides c by g = gcd(c, d), and multiplies den and the rest by d/g."""
+    steps = (system.cleared if den is not None
+             else [(1, rule.rhs.terms.items()) for rule in system.rules])
+    index, lengths = system.index, system.lengths
     done = {}
     while work:
         key = max(work)
         c = work.pop(key)
         m = key[1]
-        hit = _find_redex(m, system)
+        hit = _leftmost(m, index, lengths)
         if hit is None:
             done[m] = c
             continue
-        pos, rule = hit
-        a, b = m[:pos], m[pos + len(rule.lhs):]
-        for t, cc in rule.rhs.terms.items():
+        pos, size, idx = hit
+        d, pairs = steps[idx]
+        if d != 1:
+            g = gcd(d, *c.values()) if isinstance(c, dict) else gcd(d, c)
+            c //= g
+            if g != d:
+                den *= d // g
+                for values in (work, done):
+                    for k, v in values.items():
+                        values[k] = v * (d // g)
+        a, b = m[:pos], m[pos + size:]
+        for t, cc in pairs:
             w = a + t + b
             key = (len(w), w)
-            v = c if cc == 1 else -c if cc == -1 else c * cc
+            v = c * cc
             cur = work.get(key)
             if cur is None:
                 work[key] = v
@@ -261,6 +293,8 @@ def reduce(p, system):
                     work[key] = cur
                 else:
                     del work[key]
+    if den is not None:
+        done = {m: uncleared(c, den) for m, c in done.items()}
     return NCPolynomial._of(done)
 
 
@@ -311,10 +345,19 @@ def find_ambiguities(rules):
 
 def resolve(amb, system):
     """(resolved, residual), the residual being the normal form of the
-    difference of the witness's two one-step reducts."""
-    w, rules = amb.witness, system.rules
-    residual = reduce(apply_rule_at(w, rules[amb.i], 0)
-                      - apply_rule_at(w, rules[amb.j], amb.pos_j), system)
+    difference of the witness's two one-step reducts, built from the
+    cleared rules over the product of their two denominators."""
+    w, rules, cleared = amb.witness, system.rules, system.cleared
+    steps = cleared or [(1, rule.rhs.terms.items()) for rule in rules]
+    (di, first), (dj, second) = steps[amb.i], steps[amb.j]
+    work = {}
+    for pos, k, pairs, scale in ((0, amb.i, first, dj),
+                                 (amb.pos_j, amb.j, second, -di)):
+        a, b = w[:pos], w[pos + len(rules[k].lhs):]
+        for t, n in pairs:
+            m = a + t + b
+            add_term(work, (len(m), m), n * scale)
+    residual = _normal_form(work, di * dj if cleared else None, system)
     return residual.is_zero(), residual
 
 

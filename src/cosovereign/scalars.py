@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 
 class ParseError(ValueError):
@@ -371,6 +372,69 @@ def _laurent(val, top):
 q = RatFunc(_P_ONE, _P_ONE, 1)
 
 
+def clear(terms):
+    """(den, [(key, num)]) for the (key, scalar) pairs `terms`, read twice:
+    den is the lcm of every Fraction denominator, in Laurent scalars too,
+    and each scalar is num/den with num an int or an `IntLaurent`.  None
+    when a scalar is a true quotient (``bot != 1``)."""
+    den = 1
+    for _, c in terms:
+        if not isinstance(c, RatFunc):
+            den = lcm(den, c.denominator)
+        elif len(c.bot.coeffs) == 1:
+            den = lcm(den, *(a.denominator for a in c.top.coeffs))
+        else:
+            return None
+    return den, [(key, IntLaurent({e: a.numerator * (den // a.denominator)
+                                   for e, a in enumerate(c.top.coeffs, c.val)
+                                   if a})
+                  if isinstance(c, RatFunc)
+                  else c.numerator * (den // c.denominator))
+                 for key, c in terms]
+
+
+def uncleared(num, den):
+    """The scalar num/den in its one form, from an int, a Fraction or an
+    exponent -> nonzero coefficient dict with a nonzero exponent."""
+    if not isinstance(num, dict):
+        return Fraction(num, den)
+    lo, hi = min(num), max(num)
+    return RatFunc._of(lo, _poly(tuple(Fraction(num.get(e, 0), den)
+                                       for e in range(lo, hi + 1))), _P_ONE)
+
+
+def _ring(powers):
+    """The element of Z[q, q^-1] with exponent -> nonzero int `powers`."""
+    return powers[0] if powers.keys() == {0} else powers or 0
+
+
+class IntLaurent(dict):
+    """A nonconstant element of Z[q, q^-1], exponent -> nonzero int.  Its
+    factors must be nonzero; a constant sum or product is an int."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if not isinstance(other, dict):
+            return IntLaurent({e: a * other for e, a in self.items()})
+        out = IntLaurent()
+        for e, a in self.items():
+            for f, b in other.items():
+                add_term(out, e + f, a * b)
+        return _ring(out)
+
+    def __add__(self, other):
+        out = IntLaurent(self)
+        for e, a in (other if isinstance(other, dict) else {0: other}).items():
+            add_term(out, e, a)
+        return _ring(out)
+
+    def __floordiv__(self, g):
+        return IntLaurent({e: a // g for e, a in self.items()})
+
+    __rmul__, __radd__ = __mul__, __add__
+
+
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -609,14 +673,7 @@ class _Laurent:
 
     def value(self):
         """The sum in the one form every scalar has."""
-        powers = self.powers
-        if not powers:
-            return _F_ZERO
-        lo, hi = min(powers), max(powers)
-        if lo == hi == 0:
-            return powers[0]
-        return RatFunc._of(lo, _poly(tuple(
-            Fraction(powers.get(e, 0)) for e in range(lo, hi + 1))), _P_ONE)
+        return uncleared(_ring(self.powers), 1)
 
 
 class _Sum:

@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from cosovereign import (Alphabet, EnumerationBound, FusionElement,
-                         NCPolynomial, ParseError, RepElement, RewriteSystem,
-                         Rule, RuleOrderError, apply_rule_at, build_freeprod,
-                         build_hef, build_hplusq, build_hq, build_slq2,
+from cosovereign import (Alphabet, EnumerationBound, ExactMatrix,
+                         FusionElement, NCPolynomial, ParseError, RatFunc,
+                         RepElement, RewriteSystem, Rule, RuleOrderError,
+                         apply_rule_at, build_freeprod, build_hef,
+                         build_hplusq, build_hq, build_slq2, check_morphism,
                          confluent, find_ambiguities, is_free_family,
-                         parse_presentation, reduce, reduced_monomials,
-                         resolve, q)
+                         parse_presentation, parse_scalar, reduce,
+                         reduced_monomials, resolve, q)
 from cosovereign import rewriting
 from cosovereign.rewriting import _find_redex, deglex_less, orient
 from _helpers import (LONG_LITERAL, is_confluent, needs_digit_limit,
@@ -381,7 +382,7 @@ _words = st.lists(st.integers(0, _LETTERS - 1), max_size=7).map(tuple)
 
 
 @st.composite
-def _rule_systems(draw):
+def _rule_systems(draw, coefficients=st.integers(-3, 3).map(Fraction)):
     """Order-compatible rules over three letters; some lhs are repeated and
     some sit inside others."""
     lhss = draw(st.lists(st.lists(st.integers(0, _LETTERS - 1), min_size=1,
@@ -399,8 +400,7 @@ def _rule_systems(draw):
         smaller = draw(st.lists(
             st.lists(st.integers(0, _LETTERS - 1), max_size=len(l)).map(tuple)
             .filter(lambda m, l=l: deglex_less(m, l)), max_size=3))
-        rhs = NCPolynomial({m: Fraction(draw(st.integers(-3, 3)))
-                            for m in smaller})
+        rhs = NCPolynomial({m: draw(coefficients) for m in smaller})
         rules.append(Rule(l, rhs))
     return rules
 
@@ -414,6 +414,53 @@ def test_indexed_redex_matches_linear_scan(rules, words):
         assert _find_redex(m, system) == scan_find_redex(m, rules)
     p = NCPolynomial({m: Fraction(i + 1) for i, m in enumerate(words)})
     assert reduce(p, system) == scan_reduce(p, rules)
+
+
+#: Coefficients that `reduce` carries as integral Laurent polynomials over
+#: one shared denominator, and true quotients, which it keeps as scalars.
+_CLEARABLE = (1, -1, 2, Fraction(-5, 3), Fraction(7, 2),
+              Fraction(3, 2) * q ** -2, q, 2 * q ** 3 - Fraction(1, 4),
+              3 - q ** -1)
+_QUOTIENTS = (1 / (q + 1), Fraction(2, 3) * (q ** 2 + 1) / (q - 2))
+
+
+@st.composite
+def _mixed_systems(draw):
+    """`_rule_systems` with coefficients of every kind; in some draws one
+    coefficient is a true quotient, so that the system does not clear."""
+    rules = draw(_rule_systems(st.sampled_from(_CLEARABLE)))
+    with_rhs = [i for i, rule in enumerate(rules) if rule.rhs.terms]
+    if with_rhs and draw(st.booleans()):
+        i = draw(st.sampled_from(with_rhs))
+        terms = dict(rules[i].rhs.terms)
+        terms[draw(st.sampled_from(sorted(terms)))] = draw(
+            st.sampled_from(_QUOTIENTS))
+        rules[i] = Rule(rules[i].lhs, NCPolynomial(terms))
+    return rules
+
+
+_A, _B = (0,), (1,)
+
+
+@seed(1978)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_mixed_systems(),
+       st.lists(st.tuples(_words, st.sampled_from(_CLEARABLE + _QUOTIENTS)),
+                min_size=1, max_size=6))
+# a quotient input into a system that clears
+@example([Rule(_B + _A, NCPolynomial({_A + _B: q, _A: Fraction(7, 2)}))],
+         [(_B + _A, _QUOTIENTS[0]), (_B + _B + _A, Fraction(-5, 3))])
+# a system with a quotient coefficient
+@example([Rule(_B + _A, NCPolynomial({_A + _B: _QUOTIENTS[1], _A: 2}))],
+         [(_B + _B + _A, Fraction(3, 2) * q ** -2)])
+def test_reduce_matches_linear_scan_in_both_rings(rules, terms):
+    """`reduce` and `resolve` against `scan_reduce` on rules and inputs with
+    int, rational and Laurent coefficients, and sometimes a quotient."""
+    system = RewriteSystem(Alphabet(("a", "b", "c")), rules)
+    p = NCPolynomial(terms)
+    assert reduce(p, system) == scan_reduce(p, rules)
+    for amb in find_ambiguities(rules):
+        assert resolve(amb, system)[1] == reference_resolve(amb, rules)
 
 
 @pytest.mark.parametrize("size", [3, 4])
@@ -455,6 +502,74 @@ def test_reduce_matches_linear_scan_on_hef(size):
         assert nonzero == unchecked
         kinds.add((unchecked, e.mode == "q" or f.mode == "q"))
     assert len(kinds) == 4
+
+
+def _hef(e_diagonal, f_rows):
+    """H(E, F), unchecked, for E diagonal and F lower-triangular, their
+    entries given as text."""
+    return build_hef(
+        ExactMatrix.diagonal([parse_scalar(x) for x in e_diagonal]),
+        ExactMatrix([[parse_scalar(x) for x in row] for row in f_rows]),
+        unchecked=True)
+
+
+#: E's diagonal and F's rows of pairs that fail the trace conditions.
+_MISMATCHED = {
+    "rational-2x2": (["1/2", "3"], [["2/3", "0"], ["5/7", "-3/2"]]),
+    "rational-3x3": (["-5/3", "7/2", "1"],
+                     [["2", "0", "0"], ["1/3", "-1/4", "0"],
+                      ["3/5", "0", "7/2"]]),
+    "laurent-2x2": (["q", "2*q^-1"], [["q", "0"], ["1/2", "3*q^-1"]]),
+    "laurent-3x3": (["q", "3/2*q^-2", "-1"],
+                    [["q^2", "0", "0"], ["1/3", "q^-1", "0"],
+                     ["q", "2/5", "7/2"]]),
+    "quotient-2x2": (["(q^2+1)/(q-2)", "q"],
+                     [["(q^2+1)/(q-2)", "0"], ["1/(q+1)", "q^2"]]),
+    "quotient-3x3": (["(q^2+1)/(q-2)", "q", "2/(q+3)"],
+                     [["(q^2+1)/(q-2)", "0", "0"], ["1/(q+1)", "q", "0"],
+                      ["q^2", "(q-1)/(q+2)", "1/(q+3)"]]),
+}
+
+
+@pytest.mark.parametrize("e_diagonal, f_rows", list(_MISMATCHED.values()),
+                         ids=list(_MISMATCHED))
+def test_nonzero_residuals_stay_exact(e_diagonal, f_rows):
+    """Every residual of a mismatched pair equals the difference of the two
+    reducts' normal forms, each reduced by `scan_reduce`."""
+    system = _hef(e_diagonal, f_rows)
+    rules, unresolved = system.rules, 0
+    for amb in find_ambiguities(rules):
+        resolved, residual = resolve(amb, system)
+        expected = reference_resolve(amb, rules)
+        assert residual == expected and resolved == expected.is_zero()
+        assert (residual.render(system.alphabet)
+                == expected.render(system.alphabet))
+        unresolved += not resolved
+    assert unresolved
+
+
+def test_quotient_images_into_a_laurent_target():
+    """A relation whose image has quotient coefficients reduces in a target
+    whose rules all clear, as `scan_reduce` reduces it."""
+    target = _hef(*_MISMATCHED["laurent-2x2"])
+    assert target.cleared is not None
+    images = [NCPolynomial.monomial((g,), 1 / (q + 1) if g % 2 else q - 2)
+              for g in range(len(target.alphabet))]
+    relations = target.relations()
+    _, checks = check_morphism(relations, images, target)
+    quotients = 0
+    for (label, relation), (checked, residual) in zip(relations, checks):
+        image = NCPolynomial()
+        for m, c in relation.terms.items():
+            term = NCPolynomial({(): c})
+            for g in m:
+                term = term * images[g]
+            image = image + term
+        assert checked == label
+        assert residual == scan_reduce(image, target.rules)
+        quotients += any(isinstance(c, RatFunc) and c.bot.degree() > 0
+                         for c in residual.terms.values())
+    assert quotients
 
 
 @st.composite

@@ -11,7 +11,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 from cosovereign import (Alphabet, FusionElement, NCPolynomial, ParseError,
                          Poly, RatFunc, RepElement, format_scalar, multiply,
                          parse_scalar, psi_word, q, render_alt_word, word_str)
-from cosovereign.scalars import parse_expression
+from cosovereign.scalars import IntLaurent, clear, parse_expression, uncleared
 from _helpers import (LONG_LITERAL, needs_digit_limit, reference_format_scalar,
                       reference_fuse, reference_parse_scalar,
                       reference_render, scalar_texts)
@@ -477,6 +477,44 @@ def test_no_constant_ratfunc_can_be_built(op, a, b, num, den, val):
             _assert_never_constant(-x)
             _assert_never_constant(x ** 0)
             _assert_never_constant(x ** -1)
+
+
+# -- cleared coefficients ----------------------------------------------------
+
+_clearable = st.one_of(st.integers(-9, 9).filter(bool), _nonzero, _laurents,
+                       st.builds(lambda c, k: c * q ** k, _nonzero,
+                                 st.integers(-6, 6)))
+
+
+@seed(2002)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(_clearable, min_size=1, max_size=4))
+# a product and a sum whose powers of q cancel
+@example([Fraction(3, 2) * q ** 2, 5 * q ** -2, 2 - Fraction(3, 2) * q ** 2])
+def test_clear_round_trip(scalars):
+    """`uncleared` gives back each scalar that `clear` puts over the shared
+    denominator, in its one form, a Fraction for every constant; the ring's
+    sum and product are those of the scalars."""
+    den, terms = clear(list(enumerate(scalars)))
+    assert [key for key, _ in terms] == list(range(len(scalars)))
+    for (_, num), c in zip(terms, scalars):
+        assert type(num) is (IntLaurent if isinstance(c, RatFunc) else int)
+        assert uncleared(num, den) == c
+        _assert_never_constant(uncleared(num, den))
+    x, a = terms[0][1], scalars[0]
+    for (_, y), b in zip(terms, scalars):
+        for num, d, expected in ((x + y, den, a + b),
+                                 (x * y, den * den, a * b)):
+            assert type(num) is (IntLaurent if isinstance(expected, RatFunc)
+                                 else int)
+            assert uncleared(num, d) == expected
+            _assert_never_constant(uncleared(num, d))
+
+
+@pytest.mark.parametrize("quotient", [1 / (q + 1), (q - 1) / (q ** 2 + 2)])
+def test_clear_refuses_quotients(quotient):
+    for terms in ([("a", quotient)], [("a", 2), ("b", q), ("c", quotient)]):
+        assert clear(terms) is None
 
 
 def _assert_same_form(got, expected):
