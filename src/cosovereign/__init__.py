@@ -14,10 +14,10 @@ from .repring import (RepElement, alt_dim, check_alt_word, clebsch_gordan,
                       multiply, parse_alt_word, psi, psi_word,
                       render_alt_word, so3_fuse)
 from .rewriting import (Alphabet, Ambiguity, EnumerationBound, NCPolynomial,
-                        RewriteSystem, Rule, RuleOrderError, apply_rule_at,
-                        check_morphism, confluent, find_ambiguities,
-                        is_free_family, orient, parse_presentation, reduce,
-                        reduced_monomials, resolve)
+                        RewriteSystem, Rule, RuleOrderError, check_morphism,
+                        confluent, find_ambiguities, is_free_family, orient,
+                        parse_presentation, reduce, reduced_monomials,
+                        resolve)
 from .presentations import (AAUT_MAX_N, AautRelations, build_aaut,
                             build_freeprod, build_hef, build_hplusq, build_hq,
                             build_slq2, matrix_fq, standard_pi_images,

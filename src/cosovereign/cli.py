@@ -121,11 +121,16 @@ def cmd_psi(args):
 
 
 #: One table entry as `json.dumps(..., indent=2)` nests it in "entries",
-#: with its product's words joined by `_JSON_SUMMANDS` in the last slot.
+#: with its product's words joined by `_JSON_SUMMANDS` in the last slot but
+#: one and the unit's spelling, if it ends the product, in the last.
 _JSON_ENTRY = ('    {{\n      "x": "{}",\n      "y": "{}",\n      "product": [\n'
-               '        [\n          "{}",\n          1\n        ]\n'
+               '        [\n          "{}{}",\n          1\n        ]\n'
                '      ]\n    }}')
 _JSON_SUMMANDS = '",\n          1\n        ],\n        [\n          "'
+
+# The writers spell the empty word `e` inline rather than mapping `word_str`
+# over each product: summand lengths len(x) + len(y) - 2k strictly decrease,
+# so only the last summand can be the unit, and the rest join as they are.
 
 
 def _table_json(table, max_len, seed):
@@ -133,8 +138,8 @@ def _table_json(table, max_len, seed):
     words are `a`/`b` strings or `e`, so nothing needs escaping, and every
     multiplicity is 1."""
     entries = ",\n".join(
-        _JSON_ENTRY.format(word_str(x), word_str(y),
-                           _JSON_SUMMANDS.join(map(word_str, p)))
+        _JSON_ENTRY.format(x or "e", y or "e", _JSON_SUMMANDS.join(p),
+                           "" if p[-1] else "e")
         for x, y, p in table)
     return (f'{{\n  "max_len": {max_len},\n  "seed": {seed},\n'
             f'  "entries": [\n{entries}\n  ]\n}}')
@@ -144,9 +149,8 @@ def cmd_table(args):
     # each product is its summand words, leading term first
     table = fusion_table(args.max_len)
     _emit(args, lambda: _table_json(table, args.max_len, args.seed),
-          lambda: "\n".join(f"{word_str(x)} {word_str(y)} -> "
-                            f"{' + '.join(map(word_str, p))}"
-                            for x, y, p in table))
+          lambda: "\n".join(f"{x or 'e'} {y or 'e'} -> {' + '.join(p)}"
+                            f"{'' if p[-1] else 'e'}" for x, y, p in table))
     return 0
 
 

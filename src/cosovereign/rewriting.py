@@ -223,20 +223,6 @@ def _leftmost(m, index, lengths):
     return None
 
 
-def _find_redex(m, system):
-    """(pos, rule) of the leftmost redex, or None."""
-    hit = _leftmost(m, system.index, system.lengths)
-    return hit and (hit[0], system.rules[hit[2]])
-
-
-def apply_rule_at(m, rule, pos):
-    """One rewriting step on a monomial; the match is assumed."""
-    if m[pos:pos + len(rule.lhs)] != rule.lhs:
-        raise ValueError("rule does not match at given position")
-    a, b = m[:pos], m[pos + len(rule.lhs):]
-    return NCPolynomial._of({a + t + b: c for t, c in rule.rhs.terms.items()})
-
-
 def reduce(p, system):
     """Normal form of a polynomial under the rules, a linear map.
 

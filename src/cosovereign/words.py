@@ -10,10 +10,16 @@ extended bilinearly to integer combinations.  Over two letters, bar(g) is a
 prefix of y exactly when x and y differ letter by letter where they meet, so
 the splittings are the cancellation lengths k = 0..K, K the first i with
 x[-1-i] == y[i] (or the shorter length), and the summands x[:len(x)-k] + y[k:]
-differ in length: every multiplicity is 1.  Each simple label U_x has one
-dimension for every n >= 2 (the size of the fundamental comodule): dim is the
-unique ring morphism to Z sending both letters to n, read off the embedding
-psi into the representation ring of Z * SU_q(2) as alt_dim(psi_word(x), n).
+differ in length: every multiplicity is 1.  Peeling off one junction gives
+the recurrence x (*) y = x.y + x[:-1] (*) y[1:] when y[0] cancels x[-1]
+(they differ) and x (*) y = x.y otherwise; `fusion_table` tabulates it over
+words in canonical (length, lex) order, which is heap order (x[:-1] sits at
+index (i - 1) // 2), while `summands` and `fuse` keep the closed form.
+
+Each simple label U_x has one dimension for every n >= 2 (the size of the
+fundamental comodule): dim is the unique ring morphism to Z sending both
+letters to n, read off the embedding psi into the representation ring of
+Z * SU_q(2) as alt_dim(psi_word(x), n).
 """
 
 from __future__ import annotations
@@ -132,9 +138,35 @@ def words_up_to(max_len):
 def fusion_table(max_len):
     """(x, y, summands(x, y)) for all words x, y up to max_len, in canonical
     order: each product is a tuple of summand words, leading term first,
-    and every multiplicity is 1."""
+    and every multiplicity is 1.
+
+    The products are tabulated by the cancellation recurrence rather than
+    computed pair by pair.  Canonical order is heap order: the word at index
+    i > 0 drops its last letter to the word at (i - 1) // 2, so x[:-1] has
+    its row of products built before x.  Each y's tail y[1:] has its index
+    found once.  When y's first letter cancels x's last (they differ), x (*) y
+    is (x + y,) followed by the products of x[:-1] and y[1:]; otherwise it
+    is (x + y,) alone.
+    """
     if max_len > TABLE_MAX_LEN:
         raise ValueError(
             f"fusion table bound exceeded: max_len {max_len} > {TABLE_MAX_LEN}")
     ws = words_up_to(max_len)
-    return [(x, y, summands(x, y)) for x in ws for y in ws]
+    n = len(ws)
+    index = {w: j for j, w in enumerate(ws)}
+    # per last letter of x, the row index of each y's tail where y's first
+    # letter cancels it, else n: every row ends in an empty tuple at n
+    tails = {last: [index[y[1:]] if y[:1] == other else n for y in ws]
+             for last, other in (("a", "b"), ("b", "a"))}
+    rows, table = [], []
+    for i, x in enumerate(ws):
+        heads = zip(map(x.__add__, ws))
+        if i:
+            rest = rows[(i - 1) // 2].__getitem__
+            row = list(map(operator.add, heads, map(rest, tails[x[-1]])))
+        else:
+            row = list(heads)
+        row.append(())
+        rows.append(row)
+        table.extend(zip(itertools.repeat(x, n), ws, row))
+    return table

@@ -28,8 +28,8 @@ from cosovereign import (Alphabet, ExactMatrix, FusionElement, ParseError,
                          inverse, is_generic, parse_word, q, similar,
                          word_str, words_up_to)
 from cosovereign.cli import COMMANDS
-from cosovereign.rewriting import (Ambiguity, NCPolynomial, apply_rule_at,
-                                   deglex_key, deglex_less)
+from cosovereign.rewriting import (Ambiguity, NCPolynomial, deglex_key,
+                                   deglex_less)
 from cosovereign.scalars import add_term
 
 
@@ -187,8 +187,16 @@ def reference_fuse(x, y):
 
 
 # ---------------------------------------------------------------------------
-# reducers that share nothing with the engine but `apply_rule_at`
+# reducers that share nothing with the engine, built on `apply_rule_at`
 # ---------------------------------------------------------------------------
+
+
+def apply_rule_at(m, rule, pos):
+    """One rewriting step on a monomial; the match is assumed."""
+    if m[pos:pos + len(rule.lhs)] != rule.lhs:
+        raise ValueError("rule does not match at given position")
+    a, b = m[:pos], m[pos + len(rule.lhs):]
+    return NCPolynomial._of({a + t + b: c for t, c in rule.rhs.terms.items()})
 
 
 def _scan_match_at(m, pos, rules):

@@ -10,17 +10,17 @@ from hypothesis import example, given, seed, settings, strategies as st
 from cosovereign import (Alphabet, EnumerationBound, ExactMatrix,
                          FusionElement, NCPolynomial, ParseError, RatFunc,
                          RepElement, RewriteSystem, Rule, RuleOrderError,
-                         apply_rule_at, build_freeprod, build_hef,
-                         build_hplusq, build_hq, build_slq2, check_morphism,
-                         confluent, find_ambiguities, is_free_family,
-                         parse_presentation, parse_scalar, reduce,
-                         reduced_monomials, resolve, q)
+                         build_freeprod, build_hef, build_hplusq, build_hq,
+                         build_slq2, check_morphism, confluent,
+                         find_ambiguities, is_free_family, parse_presentation,
+                         parse_scalar, reduce, reduced_monomials, resolve, q)
 from cosovereign import rewriting
-from cosovereign.rewriting import _find_redex, deglex_less, orient
-from _helpers import (LONG_LITERAL, is_confluent, needs_digit_limit,
-                      random_hef_pair, random_reduce, random_scalar,
-                      reference_parse_rhs, reference_resolve, rhs_texts,
-                      scan_ambiguities, scan_find_redex, scan_reduce)
+from cosovereign.rewriting import _leftmost, deglex_less, orient
+from _helpers import (LONG_LITERAL, apply_rule_at, is_confluent,
+                      needs_digit_limit, random_hef_pair, random_reduce,
+                      random_scalar, reference_parse_rhs, reference_resolve,
+                      rhs_texts, scan_ambiguities, scan_find_redex,
+                      scan_reduce)
 
 
 def mono(alphabet, text):
@@ -411,7 +411,9 @@ def _rule_systems(draw, coefficients=st.integers(-3, 3).map(Fraction)):
 def test_indexed_redex_matches_linear_scan(rules, words):
     system = RewriteSystem(Alphabet(("a", "b", "c")), rules)
     for m in words:
-        assert _find_redex(m, system) == scan_find_redex(m, rules)
+        hit = _leftmost(m, system.index, system.lengths)
+        found = hit and (hit[0], system.rules[hit[2]])
+        assert found == scan_find_redex(m, rules)
     p = NCPolynomial({m: Fraction(i + 1) for i, m in enumerate(words)})
     assert reduce(p, system) == scan_reduce(p, rules)
 

@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings, strategies as st
 from cosovereign import (FusionElement, ParseError, bar, dim, dim_element,
                          dual, fuse, fusion_table, odot, parse_word, summands,
                          word_str, words_up_to)
+from cosovereign.words import TABLE_MAX_LEN
 from _helpers import (element_from_pairs, labels, reference_fuse,
                       splitting_summands)
 
@@ -214,6 +215,15 @@ def test_fusion_table_is_the_splitting_sum(max_len):
     for x, y, p in table:
         assert type(p) is tuple
         assert list(p) == splitting_summands(x, y)
+
+
+@pytest.mark.parametrize("max_len", [6, 7, TABLE_MAX_LEN])
+def test_fusion_table_is_the_closed_form(max_len):
+    """The recurrence's products at the deepest levels, where a wrong row
+    or tail index would first show, equal `summands` on every pair."""
+    ws = words_up_to(max_len)
+    assert fusion_table(max_len) == [(x, y, summands(x, y))
+                                     for x in ws for y in ws]
 
 
 _SHORT_WORDS = st.text(alphabet="ab", max_size=40)
