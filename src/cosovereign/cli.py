@@ -6,15 +6,17 @@ or morphism check that fails), and 2 for usage or parse errors.  Output is
 deterministic for a fixed command line; the seed option is echoed into every
 report so randomized sweeps driven from these reports stay reproducible.
 
-A call builds only the parser of the command it names; `--help`, a missing
-or unknown command and leftover arguments build the parser holding every
-command, so every top-level usage text lists every command.
+A command line is read straight off the argument specs in `COMMANDS`, with
+no parser built.  Help, usage errors and rare spellings (abbreviations, `--`,
+`-n3`) go to the argparse parser holding every command, which prints every
+help and error text, so every top-level usage text lists every command.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import presentations as pres
@@ -317,35 +319,105 @@ COMMANDS = {
 }
 
 
-def _command_parser(name, parent=None):
-    """The parser of command `name`, filled from `COMMANDS`: a subparser of
-    `parent` when given, else a parser of its own with the same prog."""
-    func, help_text, specs = COMMANDS[name]
-    p = (parent.add_parser(name, help=help_text) if parent else
-         argparse.ArgumentParser(prog=f"cosov {name}"))
+def _dest(flags):
+    """The attribute argparse stores an argument under (one flag a spec)."""
+    return flags[0].lstrip("-").replace("-", "_")
+
+
+def _read(argv):
+    """The namespace argparse gives for `argv`, read straight off the specs
+    of `COMMANDS[argv[0]]`; None where argparse must decide.
+
+    It reads exact options (`--opt v`, `--opt=v`, `-n v`), `store_true`
+    flags and positionals in order, applying each spec's `type`, `choices`,
+    `default` and `required`.  It gives None for an unknown command; any
+    other token starting with `-` (help, abbreviations, `--`, `-n3`,
+    negative positionals); a repeated option; a value `=--`, or a separate
+    value starting with `-` other than a negative integer; `=` on a flag; a
+    failed `type` or `choices`; a missing required option; or the wrong
+    number of positionals.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, specs = COMMANDS[argv[0]]
+    flagged = {flags[0]: options for flags, options in specs
+               if flags[0].startswith("-")}
+    raw, positionals = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        name, eq, value = (token.partition("=") if token.startswith("--")
+                           else (token, "", None))
+        if name not in flagged or name in raw:
+            return None
+        if flagged[name].get("action") == "store_true":
+            if eq:
+                return None
+            raw[name] = True
+            continue
+        if eq:
+            if value == "--":  # argparse would store [] unchecked
+                return None
+        else:
+            value = next(tokens, "-")  # none left: defer, as for a dash
+            # argparse takes a negative integer as a value, as no option of
+            # any command looks like one
+            if value.startswith("-") and not re.fullmatch("-[0-9]+", value):
+                return None
+        raw[name] = value
+    named = [flags[0] for flags, _ in specs if flags[0] not in flagged]
+    if len(positionals) != len(named):
+        return None
+    raw.update(zip(named, positionals))
+    args = argparse.Namespace(command=argv[0], func=func)
     for flags, options in specs:
-        p.add_argument(*flags, **options)
-    p.set_defaults(func=func, command=name)
-    return p
+        if flags[0] not in raw:
+            if options.get("required"):
+                return None
+            value = options.get("default", False if options.get("action")
+                                == "store_true" else None)
+        elif raw[flags[0]] is True:
+            value = True
+        else:
+            try:
+                value = options.get("type", str)(raw[flags[0]])
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if value not in options.get("choices", (value,)):
+                return None
+        setattr(args, _dest(flags), value)
+    return args
 
 
 def parse_args(argv=None):
-    """Parse `argv` (default `sys.argv[1:]`) with only the parser of the
-    command it names.  `--help`, a missing or unknown command and leftover
-    arguments go to the parser holding every command, which reports them."""
+    """Parse `argv` (default `sys.argv[1:]`).  A line `_read` takes builds
+    no parser; any other (help, usage errors, rare spellings such as
+    abbreviations) goes to the parser holding every command, which prints
+    every help and error text."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMANDS:
-        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
+    args = _read(argv)
+    if args is not None:
+        return args
     ap = argparse.ArgumentParser(
         prog="cosov",
         description="Exact fusion rules and rewriting checks for "
                     "universal cosovereign Hopf algebras.")
     commands = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        _command_parser(name, commands)
-    return ap.parse_args(argv)
+    parsers = {}
+    for name, (func, help_text, specs) in COMMANDS.items():
+        parsers[name] = p = commands.add_parser(name, help=help_text)
+        for flags, options in specs:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
+    args = ap.parse_args(argv)
+    # argparse drops a `--` value and stores [], skipping `type`/`choices`
+    for flags, _ in COMMANDS[args.command][2]:
+        if isinstance(getattr(args, _dest(flags)), list):
+            parsers[args.command].error(
+                f"argument {flags[0]}: expected one argument")
+    return args
 
 
 def build_parser():

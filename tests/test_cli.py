@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
@@ -6,11 +8,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from cosovereign import (build_freeprod, build_hef, build_hplusq, build_hq,
                          build_slq2, confluent, format_matrix, inverse,
                          matrix_fq, parse_presentation, q, ExactMatrix)
-from cosovereign.cli import COMMANDS, build_parser, main
+from cosovereign.cli import COMMANDS, _read, build_parser, main
 from _helpers import (LONG_LITERAL, confluence_counts, generic_integer_matrix,
                       is_confluent, needs_digit_limit, parse_table_payload,
                       prefix_dim, random_hef_pair, random_unimodular,
@@ -569,10 +572,11 @@ VALID_ARGVS = (
 
 
 def test_lazy_parser_matches_the_eager_one(monkeypatch):
-    """The parser that builds only the named command's parser gives the
-    namespace of the one that adds every subparser, `func` included."""
+    """`parse_args` gives the namespace of the parser that adds every
+    subparser, `func` included, and builds no parser for a line its reader
+    takes: every valid line but a negative positional."""
     assert {argv[0] for argv in VALID_ARGVS} == set(COMMANDS)
-    built = []
+    built, on_argparse = [], []
     init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
@@ -588,8 +592,71 @@ def test_lazy_parser_matches_the_eager_one(monkeypatch):
         monkeypatch.undo()
         assert got == expected, argv
         assert got["func"] is COMMANDS[argv[0]][0]
-        assert built == [f"cosov {argv[0]}"], argv
+        if built:
+            on_argparse.append(argv)
         assert vars(reused.parse_args(argv)) == got
+    assert on_argparse == [["dim", "e", "-2"]]
+
+
+#: Values that a spec's type or choices may refuse, or that argparse reads
+#: apart: negative numbers, a q it takes for an option, the separator.
+_ODD_VALUES = ("-2", "-1/2", "", "--", "x", "json")
+#: Tokens beside an option's: help, the separator, bogus and short forms.
+_ODD_TOKENS = ("-h", "--help", "--", "-2", "-1/2", "", "--bogus", "-n3")
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line drawn from one command's specs: each option absent,
+    given once or repeated, exact or abbreviated, as `--opt=v`, `--opt v` or
+    with no value; each value one the spec accepts or, one time in five, an
+    odd one; too few, enough or too many positionals; all shuffled."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+
+    def value(options):
+        if draw(st.integers(0, 4)):
+            return draw(st.sampled_from(options.get("choices") or ("3",)))
+        return draw(st.sampled_from(_ODD_VALUES))
+    groups = []
+    for flags, options in COMMANDS[name][2]:
+        if not flags[0].startswith("-"):
+            groups.append([value(options)])
+            continue
+        for _ in range(draw(st.sampled_from((0, 1, 1, 1, 2)))):
+            flag = flags[0]
+            if flag.startswith("--") and not draw(st.integers(0, 5)):
+                flag = flag[:draw(st.integers(3, len(flag)))]
+            form = draw(st.sampled_from(("=", "=", " ", " ", "bare")))
+            if form == "bare" or (options.get("action") == "store_true"
+                                  and form != "="):
+                groups.append([flag])
+            elif form == "=":
+                groups.append([f"{flag}={value(options)}"])
+            else:
+                groups.append([flag, value(options)])
+    if draw(st.booleans()):
+        groups.append([draw(st.sampled_from(("ab", "3")))])
+    if draw(st.booleans()) and len(groups) > 1:
+        groups.pop(draw(st.integers(0, len(groups) - 1)))
+    groups += [[t] for t in draw(st.lists(st.sampled_from(_ODD_TOKENS),
+                                          max_size=2))]
+    return [name, *(t for g in draw(st.permutations(groups)) for t in g)]
+
+
+@seed(2002)
+@settings(max_examples=400, deadline=None, database=None)
+@given(_command_lines())
+def test_reader_gives_argparse_namespace_or_none(argv):
+    """The reader gives None, or exactly the namespace of the parser that
+    adds every subparser; never a namespace where that parser exits."""
+    got = _read(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(reference_parser().parse_args(argv))
+    except SystemExit:
+        expected = None
+    assert got is None or vars(got) == expected, argv
 
 
 #: Command lines that end in a usage error or in help, on either parser.
