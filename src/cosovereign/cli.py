@@ -391,11 +391,46 @@ def _read(argv):
     return args
 
 
+def _dash_taker(argv):
+    """The argument that command line `argv` gives a `--` as its value, or
+    None: an exact option as `--opt=--` or `--opt --`, or a positional that
+    a `--` after the separator `--` would fill.  Python versions part on
+    such a value (3.11's argparse drops it, later ones keep the string), so
+    `parse_args` refuses it before argparse parses.  A line with any other
+    token starting with `-`, but a negative integer value, is left to
+    argparse.
+    """
+    specs = COMMANDS[argv[0]][2]
+    takes = {flags[0]: options.get("action") != "store_true"
+             for flags, options in specs if flags[0].startswith("-")}
+    positionals = [flags[0] for flags, _ in specs if flags[0] not in takes]
+    filled, tokens = 0, iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            break
+        name, eq, value = token.partition("=")
+        if not token.startswith("-"):
+            filled += 1
+        elif name not in takes or (eq and not takes[name]):
+            return None
+        elif takes[name]:
+            value = value if eq else next(tokens, "")
+            if value == "--":
+                return name
+            if value.startswith("-") and not re.fullmatch("-[0-9]+", value):
+                return None
+    for token in tokens:
+        if token == "--" and filled < len(positionals):
+            return positionals[filled]
+        filled += 1
+    return None
+
+
 def parse_args(argv=None):
     """Parse `argv` (default `sys.argv[1:]`).  A line `_read` takes builds
     no parser; any other (help, usage errors, rare spellings such as
     abbreviations) goes to the parser holding every command, which prints
-    every help and error text."""
+    every help and error text; a `--` given as a value is refused."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read(argv)
     if args is not None:
@@ -411,8 +446,12 @@ def parse_args(argv=None):
         for flags, options in specs:
             p.add_argument(*flags, **options)
         p.set_defaults(func=func)
+    taker = _dash_taker(argv) if argv and argv[0] in COMMANDS else None
+    if taker:
+        parsers[argv[0]].error(f"argument {taker}: expected one argument")
     args = ap.parse_args(argv)
-    # argparse drops a `--` value and stores [], skipping `type`/`choices`
+    # Python 3.11's argparse drops a `--` value that `_dash_taker` leaves
+    # (`-n--`, an abbreviation) and stores [], skipping `type`/`choices`
     for flags, _ in COMMANDS[args.command][2]:
         if isinstance(getattr(args, _dest(flags)), list):
             parsers[args.command].error(

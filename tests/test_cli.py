@@ -659,6 +659,22 @@ def test_reader_gives_argparse_namespace_or_none(argv):
     assert got is None or vars(got) == expected, argv
 
 
+@seed(2003)
+@settings(max_examples=400, deadline=None, database=None)
+@given(_command_lines())
+def test_parse_args_stores_no_list(argv):
+    """Every drawn line is a usage exit (0 or 2) or a namespace holding no
+    list: a `--` value never reaches a handler unchecked."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code in (0, 2), argv
+    else:
+        assert not any(isinstance(v, list) for v in vars(args).values()), argv
+
+
 #: Command lines that end in a usage error or in help, on either parser.
 USAGE_ARGVS = (
     [], ["nope"], ["-h"], ["--help"], ["-h", "fuse"], ["fuse", "-h"],
