@@ -2,12 +2,16 @@
 
 Exit status is 0 for success (including confluent / isomorphic / residuals
 zero), 1 for a mathematical negative (non-confluent, not isomorphic, a freeness
-or morphism check that fails), and 2 for usage or parse errors.  Output is
-deterministic for a fixed command line; the seed option is echoed into every
-report so randomized sweeps driven from these reports stay reproducible.
+or morphism check that fails), 2 for usage or parse errors, and 141 (128 +
+SIGPIPE, as a shell reports it) with nothing on stderr when the reader of
+stdout closes it early, as `cosov table --max-len 8 | head -n 1` does.  Output
+is deterministic for a fixed command line; the seed option is echoed into
+every report so randomized sweeps driven from these reports stay reproducible.
 
-A command line is read straight off the argument specs in `COMMANDS`, with
-no parser built.  Help, usage errors and rare spellings (abbreviations, `--`,
+A command line is read straight off the argument specs in `COMMANDS` in one
+pass, with no parser built; that pass also names a `--` given as a value,
+which is refused with argparse's message on every Python version.  Help,
+other usage errors and rare spellings (abbreviations, the separator `--`,
 `-n3`) go to the argparse parser holding every command, which prints every
 help and error text, so every top-level usage text lists every command.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -325,50 +330,59 @@ def _dest(flags):
 
 
 def _read(argv):
-    """The namespace argparse gives for `argv`, read straight off the specs
-    of `COMMANDS[argv[0]]`; None where argparse must decide.
+    """One pass over `argv` against the specs of `COMMANDS[argv[0]]`: the
+    namespace argparse gives for it, the name of the argument that a `--`
+    would be the value of, or None where argparse must decide.
 
-    It reads exact options (`--opt v`, `--opt=v`, `-n v`), `store_true`
-    flags and positionals in order, applying each spec's `type`, `choices`,
-    `default` and `required`.  It gives None for an unknown command; any
-    other token starting with `-` (help, abbreviations, `--`, `-n3`,
-    negative positionals); a repeated option; a value `=--`, or a separate
-    value starting with `-` other than a negative integer; `=` on a flag; a
-    failed `type` or `choices`; a missing required option; or the wrong
-    number of positionals.
+    It reads exact options (`--opt v`, `--opt=v`, `-n v`, `-n=v`),
+    `store_true` flags and positionals in order, applying each spec's
+    `type`, `choices`, `default` and `required`.  A `--` given as an exact
+    option's value, or filling a positional after the separator, is named
+    unless an `=` value before it starts with `-` and is not a negative
+    integer: argparse decides that line, as it may report on that value
+    first.  Any other token starting with `-`, a separate value starting
+    with `-`, `=` on a flag, the separator, a repeat or a failed check
+    gives None.
     """
     if not argv or argv[0] not in COMMANDS:
         return None
     func, _, specs = COMMANDS[argv[0]]
     flagged = {flags[0]: options for flags, options in specs
                if flags[0].startswith("-")}
+    named = [flags[0] for flags, _ in specs if flags[0] not in flagged]
     raw, positionals = {}, []
+    once = refuse = True  # no option repeated; no `=-x` value seen
     tokens = iter(argv[1:])
     for token in tokens:
         if not token.startswith("-"):
             positionals.append(token)
             continue
-        name, eq, value = (token.partition("=") if token.startswith("--")
-                           else (token, "", None))
-        if name not in flagged or name in raw:
+        if token == "--":  # the separator: the rest fill positionals
+            for filled, token in enumerate(tokens, len(positionals)):
+                if token == "--" and refuse and filled < len(named):
+                    return named[filled]
             return None
+        name, eq, value = token.partition("=")
+        if name not in flagged:
+            return None
+        once = once and name not in raw
         if flagged[name].get("action") == "store_true":
             if eq:
                 return None
             raw[name] = True
             continue
-        if eq:
-            if value == "--":  # argparse would store [] unchecked
+        if not eq:
+            value = next(tokens, "-")  # none left: argparse's error
+        if value == "--":
+            return name if refuse else None
+        # argparse takes a negative integer as a value, as no option of any
+        # command looks like one; a separate `-x` may be an option to it
+        if value.startswith("-") and not re.fullmatch("-[0-9]+", value):
+            if not eq:
                 return None
-        else:
-            value = next(tokens, "-")  # none left: defer, as for a dash
-            # argparse takes a negative integer as a value, as no option of
-            # any command looks like one
-            if value.startswith("-") and not re.fullmatch("-[0-9]+", value):
-                return None
+            refuse = False
         raw[name] = value
-    named = [flags[0] for flags, _ in specs if flags[0] not in flagged]
-    if len(positionals) != len(named):
+    if not once or len(positionals) != len(named):
         return None
     raw.update(zip(named, positionals))
     args = argparse.Namespace(command=argv[0], func=func)
@@ -391,49 +405,15 @@ def _read(argv):
     return args
 
 
-def _dash_taker(argv):
-    """The argument that command line `argv` gives a `--` as its value, or
-    None: an exact option as `--opt=--` or `--opt --`, or a positional that
-    a `--` after the separator `--` would fill.  Python versions part on
-    such a value (3.11's argparse drops it, later ones keep the string), so
-    `parse_args` refuses it before argparse parses.  A line with any other
-    token starting with `-`, but a negative integer value, is left to
-    argparse.
-    """
-    specs = COMMANDS[argv[0]][2]
-    takes = {flags[0]: options.get("action") != "store_true"
-             for flags, options in specs if flags[0].startswith("-")}
-    positionals = [flags[0] for flags, _ in specs if flags[0] not in takes]
-    filled, tokens = 0, iter(argv[1:])
-    for token in tokens:
-        if token == "--":
-            break
-        name, eq, value = token.partition("=")
-        if not token.startswith("-"):
-            filled += 1
-        elif name not in takes or (eq and not takes[name]):
-            return None
-        elif takes[name]:
-            value = value if eq else next(tokens, "")
-            if value == "--":
-                return name
-            if value.startswith("-") and not re.fullmatch("-[0-9]+", value):
-                return None
-    for token in tokens:
-        if token == "--" and filled < len(positionals):
-            return positionals[filled]
-        filled += 1
-    return None
-
-
 def parse_args(argv=None):
-    """Parse `argv` (default `sys.argv[1:]`).  A line `_read` takes builds
-    no parser; any other (help, usage errors, rare spellings such as
-    abbreviations) goes to the parser holding every command, which prints
-    every help and error text; a `--` given as a value is refused."""
+    """Parse `argv` (default `sys.argv[1:]`).  A line `_read` reads builds
+    no parser; a `--` value it names is refused with the command parser's
+    `error`, as argparse versions part on such a value; any other line
+    (help, usage errors, rare spellings such as abbreviations) goes to the
+    parser holding every command, which prints every help and error text."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read(argv)
-    if args is not None:
+    if isinstance(args, argparse.Namespace):
         return args
     ap = argparse.ArgumentParser(
         prog="cosov",
@@ -446,11 +426,10 @@ def parse_args(argv=None):
         for flags, options in specs:
             p.add_argument(*flags, **options)
         p.set_defaults(func=func)
-    taker = _dash_taker(argv) if argv and argv[0] in COMMANDS else None
-    if taker:
-        parsers[argv[0]].error(f"argument {taker}: expected one argument")
+    if args:
+        parsers[argv[0]].error(f"argument {args}: expected one argument")
     args = ap.parse_args(argv)
-    # Python 3.11's argparse drops a `--` value that `_dash_taker` leaves
+    # Python 3.11's argparse drops a `--` value that `_read` does not name
     # (`-n--`, an abbreviation) and stores [], skipping `type`/`choices`
     for flags, _ in COMMANDS[args.command][2]:
         if isinstance(getattr(args, _dest(flags)), list):
@@ -471,7 +450,15 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: end as SIGPIPE would, and point
+        # stdout at devnull so that the flush at exit stays silent
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except (ParseError, UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import given, seed, settings, strategies as st
 from cosovereign import (build_freeprod, build_hef, build_hplusq, build_hq,
                          build_slq2, confluent, format_matrix, inverse,
                          matrix_fq, parse_presentation, q, ExactMatrix)
-from cosovereign.cli import COMMANDS, _read, build_parser, main
+from cosovereign.cli import COMMANDS, _dest, _read, build_parser, main
 from _helpers import (LONG_LITERAL, confluence_counts, generic_integer_matrix,
                       is_confluent, needs_digit_limit, parse_table_payload,
                       prefix_dim, random_hef_pair, random_unimodular,
@@ -551,7 +552,7 @@ def test_cli_import_is_light():
 #: --seed, -n and the preset flags.
 VALID_ARGVS = (
     ["fuse", "ab", "ba"], ["fuse", "aab", "e", "-n", "3", "--format", "json"],
-    ["dual", "ab"], ["dual", "e"],
+    ["fuse", "a", "b", "-n=2"], ["dual", "ab"], ["dual", "e"],
     ["dim", "abab", "3"], ["dim", "e", "-2"],
     ["psi", "abba"], ["psi", "ab", "--format", "json"],
     ["table"], ["table", "--max-len", "4", "--format", "json", "--seed", "7"],
@@ -599,8 +600,9 @@ def test_lazy_parser_matches_the_eager_one(monkeypatch):
 
 
 #: Values that a spec's type or choices may refuse, or that argparse reads
-#: apart: negative numbers, a q it takes for an option, the separator.
-_ODD_VALUES = ("-2", "-1/2", "", "--", "x", "json")
+#: apart: negative numbers, a q it takes for an option, a dash, the
+#: separator.
+_ODD_VALUES = ("-2", "-1/2", "-", "", "--", "x", "json")
 #: Tokens beside an option's: help, the separator, bogus and short forms.
 _ODD_TOKENS = ("-h", "--help", "--", "-2", "-1/2", "", "--bogus", "-n3")
 
@@ -608,9 +610,11 @@ _ODD_TOKENS = ("-h", "--help", "--", "-2", "-1/2", "", "--bogus", "-n3")
 @st.composite
 def _command_lines(draw):
     """A command line drawn from one command's specs: each option absent,
-    given once or repeated, exact or abbreviated, as `--opt=v`, `--opt v` or
-    with no value; each value one the spec accepts or, one time in five, an
-    odd one; too few, enough or too many positionals; all shuffled."""
+    given once or repeated, exact or abbreviated, as `--opt=v`, `--opt v`,
+    glued to its flag (`-n3`, `-n--`) or with no value; each value one
+    the spec accepts or, one time in five, an odd one (`-n=--`, `--q=-1/2`);
+    too few, enough or too many positionals; all shuffled, and one time in
+    four a separator `--` put in among them."""
     name = draw(st.sampled_from(list(COMMANDS)))
 
     def value(options):
@@ -626,37 +630,62 @@ def _command_lines(draw):
             flag = flags[0]
             if flag.startswith("--") and not draw(st.integers(0, 5)):
                 flag = flag[:draw(st.integers(3, len(flag)))]
-            form = draw(st.sampled_from(("=", "=", " ", " ", "bare")))
+            form = draw(st.sampled_from(("=", "=", "", " ", " ", "bare")))
             if form == "bare" or (options.get("action") == "store_true"
                                   and form != "="):
                 groups.append([flag])
-            elif form == "=":
-                groups.append([f"{flag}={value(options)}"])
-            else:
+            elif form == " ":
                 groups.append([flag, value(options)])
+            else:
+                groups.append([f"{flag}{form}{value(options)}"])
     if draw(st.booleans()):
         groups.append([draw(st.sampled_from(("ab", "3")))])
     if draw(st.booleans()) and len(groups) > 1:
         groups.pop(draw(st.integers(0, len(groups) - 1)))
     groups += [[t] for t in draw(st.lists(st.sampled_from(_ODD_TOKENS),
                                           max_size=2))]
-    return [name, *(t for g in draw(st.permutations(groups)) for t in g)]
+    tokens = [t for g in draw(st.permutations(groups)) for t in g]
+    if not draw(st.integers(0, 3)):
+        tokens.insert(draw(st.integers(0, len(tokens))), "--")
+    return [name, *tokens]
 
 
 @seed(2002)
 @settings(max_examples=400, deadline=None, database=None)
 @given(_command_lines())
 def test_reader_gives_argparse_namespace_or_none(argv):
-    """The reader gives None, or exactly the namespace of the parser that
-    adds every subparser; never a namespace where that parser exits."""
+    """The reader gives no namespace (None or a name), or exactly the
+    namespace of the parser that adds every subparser; never a namespace
+    where that parser exits."""
     got = _read(argv)
+    if isinstance(got, argparse.Namespace):
+        assert vars(got) == reference_namespace(argv), argv
+
+
+def reference_namespace(argv):
+    """The reference parser's namespace for `argv` as a dict, or None where
+    it exits."""
     try:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            expected = vars(reference_parser().parse_args(argv))
+            return vars(reference_parser().parse_args(argv))
     except SystemExit:
-        expected = None
-    assert got is None or vars(got) == expected, argv
+        return None
+
+
+@seed(2004)
+@settings(max_examples=400, deadline=None, database=None)
+@given(_command_lines())
+def test_reader_names_an_argument_given_a_dash(argv):
+    """Where the reader names an argument, the reference parser on this
+    Python exits or stores `[]` (3.11) or `'--'` under it, unless the line
+    gives that option again and argparse keeps the later value."""
+    name = _read(argv)
+    if isinstance(name, str):
+        expected = reference_namespace(argv)
+        again = sum(t.partition("=")[0] == name for t in argv) > 1
+        assert (expected is None or again
+                or expected[_dest((name,))] in ([], "--")), argv
 
 
 @seed(2003)
@@ -684,7 +713,8 @@ USAGE_ARGVS = (
     ["fuse", "--format", "xml", "ab", "ba"], ["fuse", "ab", "ba", "-n"],
     ["dim", "ab", "x"], ["dual"], ["psi", "ab", "--format"],
     ["check", "nope"], ["check"], ["check", "hef", "--E"],
-    ["check", "hq", "--seed", "x"], ["basis", "hq"],
+    ["check", "hq", "--seed", "x"],
+    ["check", "hq", "--seed", "x", "--seed", "1"], ["basis", "hq"],
     ["basis", "hq", "--max-len", "2", "--bogus", "1"],
     ["free-check", "hq", "--max-len", "2"], ["table", "--max-len", "-1"],
     ["table", "--max-len"], ["table", "extra"], ["iso", "--E", "e"],
@@ -703,6 +733,36 @@ def test_usage_errors_match_the_eager_parser(capsys, argv):
     code = exc.value.code if exc.value.code is not None else 2
     assert got == (code, captured.out, captured.err)
     assert code in (0, 2)
+
+
+def _cosov(*argv, **kwargs):
+    """`python -m cosovereign *argv` with buffered stdout and stderr piped."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    return subprocess.Popen([sys.executable, "-m", "cosovereign", *argv],
+                            stderr=subprocess.PIPE,
+                            env={"PYTHONPATH": str(src),
+                                 "PYTHONDONTWRITEBYTECODE": "1"}, **kwargs)
+
+
+def test_closed_stdout_exits_141_quietly():
+    """A reader that closes stdout after the first bytes ends the command
+    with 128 + SIGPIPE and nothing on stderr, not a usage error."""
+    proc = _cosov("table", "--max-len", "7", stdout=subprocess.PIPE)
+    assert proc.stdout.read(10) == b"e e -> e\ne"
+    proc.stdout.close()
+    _, err = proc.communicate()
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_stdout_closed_before_a_short_report_exits_141_quietly():
+    """A report small enough to sit in stdout's buffer until exit meets the
+    closed pipe in `main`, not in the interpreter's flush at exit."""
+    read, write = os.pipe()
+    os.close(read)
+    proc = _cosov("fuse", "ab", "ba", "--format", "json", stdout=write)
+    os.close(write)
+    _, err = proc.communicate()
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_python_m_runs_the_cli():
