@@ -127,12 +127,7 @@ def cmd_psi(args):
     return 0
 
 
-#: One table entry as `json.dumps(..., indent=2)` nests it in "entries",
-#: with its product's words joined by `_JSON_SUMMANDS` in the last slot but
-#: one and the unit's spelling, if it ends the product, in the last.
-_JSON_ENTRY = ('    {{\n      "x": "{}",\n      "y": "{}",\n      "product": [\n'
-               '        [\n          "{}{}",\n          1\n        ]\n'
-               '      ]\n    }}')
+#: What joins the words of one product in a table JSON entry.
 _JSON_SUMMANDS = '",\n          1\n        ],\n        [\n          "'
 
 # The writers spell the empty word `e` inline rather than mapping `word_str`
@@ -145,8 +140,10 @@ def _table_json(table, max_len, seed):
     words are `a`/`b` strings or `e`, so nothing needs escaping, and every
     multiplicity is 1."""
     entries = ",\n".join(
-        _JSON_ENTRY.format(x or "e", y or "e", _JSON_SUMMANDS.join(p),
-                           "" if p[-1] else "e")
+        f'    {{\n      "x": "{x or "e"}",\n      "y": "{y or "e"}",\n'
+        f'      "product": [\n        [\n          '
+        f'"{_JSON_SUMMANDS.join(p)}{"" if p[-1] else "e"}",\n          1\n'
+        f'        ]\n      ]\n    }}'
         for x, y, p in table)
     return (f'{{\n  "max_len": {max_len},\n  "seed": {seed},\n'
             f'  "entries": [\n{entries}\n  ]\n}}')
@@ -446,11 +443,12 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
-    try:
-        code = args.func(args)
+        try:
+            args = ap.parse_args(argv)
+        except SystemExit as exc:  # help, or a usage error
+            code = exc.code if exc.code is not None else 2
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:

@@ -45,15 +45,20 @@ def check_alt_word(factors):
     return w
 
 
-def alt_dim(w, n=2):
-    """Product of U_j(n) over the V_j factors, the dimension when V_1 has
-    dimension n: U_0 = 1, U_1 = n, U_(j+1) = n U_j - U_(j-1) (Chebyshev)."""
-    n = operator.index(n)
-    js = [idx for kind, idx in w if kind == V]
+def chebyshev_product(js, n):
+    """Product of U_j(n) over the indices js: U_0 = 1, U_1 = n and U_(j+1) =
+    n U_j - U_(j-1) give the dimension of V_j when V_1 has dimension n."""
     u = [1, n]
     for _ in range(max(js, default=1) - 1):
         u.append(n * u[-1] - u[-2])
-    return math.prod(u[j] for j in js)
+    return math.prod(map(u.__getitem__, js))
+
+
+def alt_dim(w, n=2):
+    """Product of U_j(n) over the V_j factors, the dimension when V_1 has
+    dimension n."""
+    n = operator.index(n)
+    return chebyshev_product([idx for kind, idx in w if kind == V], n)
 
 
 def render_alt_word(w):
@@ -155,23 +160,26 @@ def multiply(u, v):
 
 PSI_A = ((Z, 1), (V, 1))
 PSI_B = ((V, 1), (Z, -1))
-_PSI = {"a": PSI_A, "b": PSI_B}
+_NOT_AB = str.maketrans("", "", "ab")  # deletes both letters
+
+
+def alternating_runs(x):
+    """The maximal alternating runs of the word x (no aa or bb inside), left
+    to right: x cut at every aa and bb (twice, as one pass cuts aaa once)."""
+    if bad := x.translate(_NOT_AB):
+        raise ValueError(f"invalid word letter {bad[0]!r}")
+    return (x.replace("aa", "a a").replace("aa", "a a")
+            .replace("bb", "b b").replace("bb", "b b").split())
 
 
 def psi_word(x):
-    """Alternated word of psi(x): the letter images joined up."""
-    out = []
-    try:
-        for letter in x:
-            for kind, idx in _PSI[letter]:
-                if out and out[-1][0] == kind:
-                    idx += out.pop()[1]
-                    if not idx:  # Z^i Z^-i: the V factors on either side merge
-                        continue
-                out.append((kind, idx))
-    except KeyError as exc:
-        raise ValueError(f"invalid word letter {exc.args[0]!r}") from None
-    return tuple(out)
+    """Alternated word of psi(x): Z^1 if x starts with a, then V_r for each
+    run of r letters of `alternating_runs(x)`, each followed by Z^-1 if it
+    ends in b and by Z^1 if it ends in a and is not the last (an aa cut)."""
+    out = [(Z, 1)] if x[:1] == "a" else []
+    for run in alternating_runs(x):
+        out += (V, len(run)), (Z, 1 if run[-1] == "a" else -1)
+    return tuple(out[:-1] if x[-1:] == "a" else out)
 
 
 def psi(x):

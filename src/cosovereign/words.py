@@ -18,8 +18,9 @@ index (i - 1) // 2), while `summands` and `fuse` keep the closed form.
 
 Each simple label U_x has one dimension for every n >= 2 (the size of the
 fundamental comodule): dim is the unique ring morphism to Z sending both
-letters to n, read off the embedding psi into the representation ring of
-Z * SU_q(2) as alt_dim(psi_word(x), n).
+letters to n.  The embedding psi into the representation ring of Z * SU_q(2)
+sends each maximal alternating run of r letters (no aa or bb inside) to one
+V_r, so dim(x, n) is the product of the Chebyshev U_r(n) over the runs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .repring import alt_dim, psi_word
+from .repring import alternating_runs, chebyshev_product
 from .scalars import Combination, ParseError, render_terms
 
 LETTERS = "ab"
@@ -117,8 +118,10 @@ def _dimension_parameter(n):
 
 
 def dim(x, n):
-    """Dimension of U_x when the fundamental comodule has dimension n >= 2."""
-    return alt_dim(psi_word(x), _dimension_parameter(n))
+    """Dimension of U_x when the fundamental comodule has dimension n >= 2:
+    the product of U_r(n) over the lengths r of `alternating_runs(x)`."""
+    rs = list(map(len, alternating_runs(x)))
+    return chebyshev_product(rs, _dimension_parameter(n))
 
 
 def dim_element(fe, n):

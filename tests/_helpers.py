@@ -1,5 +1,6 @@
 """Shared generators for randomized exact-matrix tests and H(E, F) pairs,
-a reference recurrence for label dimensions, the splitting sum read off
+a reference recurrence for label dimensions, the letter-by-letter join of
+psi images that the run-based `psi_word` replaced, the splitting sum read off
 the definition of the fusion product and the four-similarity isomorphism search that the closed forms replaced,
 reference readers for scalars and rule right sides, the printer of scalars
 and combinations that `render_terms` replaced, the `cosov table` JSON
@@ -28,6 +29,7 @@ from cosovereign import (Alphabet, ExactMatrix, FusionElement, ParseError,
                          inverse, is_generic, parse_word, q, similar,
                          word_str, words_up_to)
 from cosovereign.cli import COMMANDS
+from cosovereign.repring import PSI_A, PSI_B
 from cosovereign.rewriting import (Ambiguity, NCPolynomial, deglex_key,
                                    deglex_less)
 from cosovereign.scalars import add_term
@@ -156,6 +158,23 @@ def prefix_dim(x, n):
             d -= d2
         d1, d2 = d, d1
     return d1
+
+
+def reference_psi_word(x):
+    """psi_word by joining the letter images [Z^1 V_1] and [V_1 Z^-1] one
+    letter at a time: neighbours of one kind add exponents, and a Z exponent
+    that sums to 0 drops out, so the V factors on either side merge."""
+    out = []
+    for letter in x:
+        if letter not in ("a", "b"):
+            raise ValueError(f"invalid word letter {letter!r}")
+        for kind, idx in PSI_A if letter == "a" else PSI_B:
+            if out and out[-1][0] == kind:
+                idx += out.pop()[1]
+                if not idx:
+                    continue
+            out.append((kind, idx))
+    return tuple(out)
 
 
 # runs of one letter and alternating runs, so that long V_j factors and long

@@ -108,6 +108,19 @@ def test_table_writers_match_reference(capsys, max_len, seed):
     assert out == "\n".join(reference_table_lines(max_len)) + "\n"
 
 
+@pytest.mark.parametrize("max_len, fmt", [(5, "text"), (6, "json")])
+def test_larger_tables_match_reference(capsys, max_len, fmt):
+    """Past the lengths above, at the default seed."""
+    code, out, _ = run(capsys, "table", "--max-len", str(max_len),
+                       "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        assert out == json.dumps(reference_table_payload(max_len, 0),
+                                 indent=2) + "\n"
+    else:
+        assert out == "\n".join(reference_table_lines(max_len)) + "\n"
+
+
 def test_table_deterministic(capsys):
     first = run(capsys, "table", "--max-len", "2", "--format", "json")
     second = run(capsys, "table", "--max-len", "2", "--format", "json")
@@ -760,6 +773,18 @@ def test_stdout_closed_before_a_short_report_exits_141_quietly():
     read, write = os.pipe()
     os.close(read)
     proc = _cosov("fuse", "ab", "ba", "--format", "json", stdout=write)
+    os.close(write)
+    _, err = proc.communicate()
+    assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.parametrize("argv", [("fuse", "--help"), ("--help",)])
+def test_help_to_a_closed_stdout_exits_141_quietly(argv):
+    """Help text also sits in stdout's buffer and meets the closed pipe in
+    `main`, as a short report does."""
+    read, write = os.pipe()
+    os.close(read)
+    proc = _cosov(*argv, stdout=write)
     os.close(write)
     _, err = proc.communicate()
     assert (proc.returncode, err) == (141, b"")

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import given, seed, settings, strategies as st
 from sympy import Rational, chebyshevu
 
 from cosovereign import (ParseError, RepElement, alt_dim, check_alt_word,
@@ -11,7 +11,8 @@ from cosovereign import (ParseError, RepElement, alt_dim, check_alt_word,
                          parse_alt_word, psi, psi_word, render_alt_word,
                          so3_fuse, words_up_to)
 from cosovereign.repring import PSI_A, PSI_B
-from _helpers import LONG_LITERAL, labels, needs_digit_limit, prefix_dim
+from _helpers import (LONG_LITERAL, labels, needs_digit_limit, prefix_dim,
+                      reference_psi_word)
 
 Z, V = "Z", "V"
 
@@ -248,6 +249,46 @@ def test_closed_forms_match_peel_off(x):
     assert psi(x).single_word() == check_alt_word(psi_word(x))
     for n in range(2, 7):
         assert dim(x, n) == prefix_dim(x, n)
+
+
+# words of 0-2000 letters: long repeats of one letter, so long aa and bb
+# stretches; fully alternating words; mixes of both; letters one by one
+run_words = st.one_of(
+    st.lists(st.tuples(st.sampled_from("ab"), st.integers(1, 1000)),
+             max_size=4),
+    st.tuples(st.sampled_from(("ab", "ba")), st.integers(0, 2000)).map(
+        lambda pk: [(pk[0], pk[1] // 2), (pk[0][:1], pk[1] % 2)]),
+    st.lists(st.tuples(st.sampled_from(("a", "b", "ab", "ba")),
+                       st.integers(1, 400)), max_size=8),
+).map(lambda pieces: "".join(p * k for p, k in pieces)[:2000]) | st.text(
+    "ab", max_size=2000)
+
+
+@seed(2029)
+@settings(max_examples=200, deadline=None, database=None)
+@given(run_words)
+def test_runs_match_letter_join_and_peel_off(x):
+    assert psi_word(x) == reference_psi_word(x)
+    for n in range(2, 7):
+        want = prefix_dim(x, n)
+        assert dim(x, n) == want == alt_dim(reference_psi_word(x), n)
+
+
+@seed(2029)
+@settings(max_examples=100, deadline=None, database=None)
+@given(run_words, st.data())
+def test_runs_name_the_first_invalid_letter(x, data):
+    pos = data.draw(st.integers(0, len(x)))
+    bad = data.draw(st.sampled_from(("c", "A", " ", "0", "\n", "\xe9")))
+    later = data.draw(st.sampled_from(("", "c", "z")))
+    word = x[:pos] + bad + x[pos:] + later
+    with pytest.raises(ValueError) as want:
+        reference_psi_word(word)
+    for fn in (psi_word, psi, lambda w: dim(w, 3)):
+        with pytest.raises(ValueError) as got:
+            fn(word)
+        assert str(got.value) == str(want.value)
+    assert str(want.value) == f"invalid word letter {bad!r}"
 
 
 def test_dim_bridge_small():
