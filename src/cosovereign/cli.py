@@ -29,6 +29,8 @@ from .matrices import load_matrix, hopf_isomorphism_witness
 from .rewriting import (confluent, is_free_family, parse_presentation,
                         reduced_monomials)
 from .scalars import ParseError, q as q_sym, parse_scalar
+# dim_element is not called here, but stays a name of this module: the
+# benchmark's span wrappers patch `cli.dim_element` by name
 from .words import (dim, dim_element, dual, fuse, fusion_table, parse_word,
                     word_str)
 from .repring import alt_dim, psi, render_alt_word
@@ -91,7 +93,7 @@ def cmd_fuse(args):
     lines, dims = [], {}
     if args.n is not None:
         summand_dims = [dim(w, args.n) for w, _ in result.pairs()]
-        total = dim_element(result, args.n)
+        total = sum(summand_dims)
         dx, dy = dim(x, args.n), dim(y, args.n)
         if total != dx * dy:
             print("dimension identity failed", file=sys.stderr)

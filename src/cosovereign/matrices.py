@@ -122,13 +122,14 @@ def _eliminated(m):
         p = a[col][col]
         det = det * p
         ip = 1 / p
-        a[col] = [x * ip for x in a[col]]
-        inv[col] = [x * ip for x in inv[col]]
+        a[col] = [x * ip if x else x for x in a[col]]
+        inv[col] = [x * ip if x else x for x in inv[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y if y else x
+                          for x, y in zip(inv[r], inv[col])]
     return det, inv
 
 

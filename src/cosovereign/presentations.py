@@ -6,7 +6,10 @@ the four defining identities u tv = I, v F tu = E, tv u = I, tu E^-1 v =
 F^-1, each oriented by `rewriting.orient`.  Generators are ordered with
 every v below every u, the u's lexicographically by index and the v's in
 the reversed lexicographic order; the leading monomials are then u_in v_jn,
-v_i1 u_j1, v_1i u_1j and u_mi v_mj.  E^-1 and F^-1 come from
+v_i1 u_j1, v_1i u_1j and u_mi v_mj.  Each identity's scalar matrices are
+divided once by the coefficient at its family's leading monomial (1, F_11,
+1 and the last entry of E^-1), so every relation leads with -1 and `orient`
+does no arithmetic.  E^-1 and F^-1 come from
 `matrices.inverse`, once each, and give both the last identity and the
 trace conditions tr(E) = tr(F), tr(E^-1) = tr(F^-1); `trace_conditions`
 states these for any invertible square pair.
@@ -103,10 +106,15 @@ def build_hef(e, f, unchecked=False):
 
     def entries(x, c, y, d):
         """The entries of d - x.c.ty, row by row, for letter matrices x, y
-        and scalar matrices c, d given as lists of rows; with c = I, this
-        sign makes -1 the leading coefficient, which `orient` keeps."""
-        cs = [(k, l, -ckl) for k, row in enumerate(c)
+        and scalar matrices c, d given as lists of rows, both divided by
+        the entry of c at the leading monomial, so that every entry leads
+        with -1, which `orient` keeps.  The rows of x and of y order their
+        letters alike, so one (k, l) leads every entry."""
+        cs = [(k, l, ckl) for k, row in enumerate(c)
               for l, ckl in enumerate(row) if ckl]
+        scale = _ONE / max(cs, key=lambda t: (x[0][t[0]], y[0][t[1]]))[2]
+        cs = [(k, l, -ckl * scale) for k, l, ckl in cs]
+        d = [[dij * scale if dij else dij for dij in row] for row in d]
         for xi, di in zip(x, d):
             for yj, dij in zip(y, di):
                 # zero-free, and the rows of x and of y repeat no letter

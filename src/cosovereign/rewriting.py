@@ -7,9 +7,10 @@ that compatibility is enforced at construction and guarantees termination of
 reduction, since deg-lex is a well-order that respects concatenation on both
 sides.  Reduction keeps one redex order (leftmost redex, longest lhs, lowest
 rule index), so a monomial is always rewritten the same way and `reduce` is
-linear, whether or not the rules are confluent.  It carries integral Laurent
-coefficients over one shared int denominator, unless a coefficient is a true
-quotient, and turns them back into scalars only in the normal form.
+linear, whether or not the rules are confluent.  It keys each power of q
+with its monomial and carries an int over one shared int denominator, the
+same ring at rational and Laurent coefficients, unless one is a true
+quotient; only the normal form regroups the powers of q into scalars.
 
 An ambiguity is a monomial reducible by two rules in two ways: an overlap
 (a proper suffix of one left side equals a proper prefix of another) or an
@@ -28,7 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .scalars import (NAME, Combination, ParseError, add_term, clear,
+from .scalars import (NAME, Combination, ParseError, _ring, add_term, clear,
                       parse_expression, render_terms, uncleared)
 
 
@@ -171,10 +172,11 @@ class RewriteSystem:
     `index` maps each distinct lhs to the lowest rule index with that lhs;
     `lengths` lists the distinct lhs lengths, longest first; `cleared`, each
     rule's right side as `scalars.clear` gives it, or None if one does not
-    clear.  Every letter of every rule must lie in the alphabet.
+    clear; `steps`, `cleared` or else (1, [(t, 0, scalar)]) per rule.
+    Every letter of every rule must lie in the alphabet.
     """
 
-    __slots__ = ("alphabet", "rules", "index", "lengths", "cleared")
+    __slots__ = ("alphabet", "rules", "index", "lengths", "cleared", "steps")
 
     def __init__(self, alphabet, rules):
         self.alphabet = alphabet
@@ -191,6 +193,7 @@ class RewriteSystem:
         self.lengths = tuple(sorted({len(l) for l in index}, reverse=True))
         cleared = [clear(rule.rhs.terms.items()) for rule in self.rules]
         self.cleared = None if None in cleared else cleared
+        self.steps = self.cleared or _scalar_steps(self.rules)
 
     def export(self):
         """The presentation file text, which `parse_presentation` reads."""
@@ -223,42 +226,51 @@ def _leftmost(m, index, lengths):
     return None
 
 
+def _scalar_steps(rules):
+    """Each rule's right side as (1, [(t, 0, scalar)])."""
+    return [(1, [(t, 0, c) for t, c in rule.rhs.terms.items()])
+            for rule in rules]
+
+
 def reduce(p, system):
     """Normal form of a polynomial under the rules, a linear map.
 
     Terminates for order-compatible rules because every step replaces a
     monomial by strictly smaller ones.  Each monomial is rewritten at its
     leftmost redex, so its normal form does not depend on the rest of `p`.
-    The coefficients are integral Laurent polynomials over one shared int
-    denominator (`scalars.clear`), or the scalars themselves when the rules
-    or `p` have a true quotient coefficient.
+    The coefficients are ints over one shared int denominator, one per
+    monomial and power of q (`scalars.clear`), or the scalars themselves
+    when the rules or `p` have a true quotient coefficient.
     """
     cleared = system.cleared is not None and clear(p.terms.items())
-    den, terms = cleared or (None, p.terms.items())
-    return _normal_form({(len(m), m): c for m, c in terms}, den, system)
+    den, terms = cleared or (None, [(m, 0, c) for m, c in p.terms.items()])
+    return _normal_form({(len(m), m, e): c for m, e, c in terms}, den,
+                        system)
 
 
 def _normal_form(work, den, system):
-    """`reduce` of the sum of c/den*m over `work`, which maps `deglex_key(m)`
-    to the nonzero c (so `max` needs no key function; a popped m never comes
-    back), or of the scalars c if `den` is None.  A step by a rule over d
-    divides c by g = gcd(c, d), and multiplies den and the rest by d/g."""
-    steps = (system.cleared if den is not None
-             else [(1, rule.rhs.terms.items()) for rule in system.rules])
+    """`reduce` of the sum of c/den*q^e*m over `work`, which maps (len(m), m,
+    e) to the nonzero int c (so `max` needs no key function; a popped m
+    never comes back), or of the scalars c*q^e if `den` is None.  By
+    linearity each (m, e) is rewritten on its own: a step by a rule over d
+    divides c by g = gcd(c, d), multiplies den and the rest by d/g, and puts
+    c*n at exponent e + j for each (t, j, n) of the rule."""
+    steps = (system.steps if den is not None or system.cleared is None
+             else _scalar_steps(system.rules))
     index, lengths = system.index, system.lengths
     done = {}
     while work:
         key = max(work)
         c = work.pop(key)
-        m = key[1]
+        _, m, e = key
         hit = _leftmost(m, index, lengths)
         if hit is None:
-            done[m] = c
+            done[key] = c
             continue
         pos, size, idx = hit
-        d, pairs = steps[idx]
+        d, triples = steps[idx]
         if d != 1:
-            g = gcd(d, *c.values()) if isinstance(c, dict) else gcd(d, c)
+            g = gcd(d, c)
             c //= g
             if g != d:
                 den *= d // g
@@ -266,10 +278,10 @@ def _normal_form(work, den, system):
                     for k, v in values.items():
                         values[k] = v * (d // g)
         a, b = m[:pos], m[pos + size:]
-        for t, cc in pairs:
+        for t, j, n in triples:
             w = a + t + b
-            key = (len(w), w)
-            v = c * cc
+            key = (len(w), w, e + j)
+            v = c * n
             cur = work.get(key)
             if cur is None:
                 work[key] = v
@@ -279,9 +291,12 @@ def _normal_form(work, den, system):
                     work[key] = cur
                 else:
                     del work[key]
-    if den is not None:
-        done = {m: uncleared(c, den) for m, c in done.items()}
-    return NCPolynomial._of(done)
+    powers = {}
+    for (_, m, e), c in done.items():
+        powers.setdefault(m, {})[e] = c
+    return NCPolynomial._of({m: p[0] if den is None
+                             else uncleared(_ring(p), den)
+                             for m, p in powers.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +347,18 @@ def find_ambiguities(rules):
 def resolve(amb, system):
     """(resolved, residual), the residual being the normal form of the
     difference of the witness's two one-step reducts, built from the
-    cleared rules over the product of their two denominators."""
-    w, rules, cleared = amb.witness, system.rules, system.cleared
-    steps = cleared or [(1, rule.rhs.terms.items()) for rule in rules]
+    rules' (t, e, n) steps over the product of their two denominators."""
+    w, rules, steps = amb.witness, system.rules, system.steps
     (di, first), (dj, second) = steps[amb.i], steps[amb.j]
     work = {}
-    for pos, k, pairs, scale in ((0, amb.i, first, dj),
-                                 (amb.pos_j, amb.j, second, -di)):
+    for pos, k, triples, scale in ((0, amb.i, first, dj),
+                                   (amb.pos_j, amb.j, second, -di)):
         a, b = w[:pos], w[pos + len(rules[k].lhs):]
-        for t, n in pairs:
+        for t, e, n in triples:
             m = a + t + b
-            add_term(work, (len(m), m), n * scale)
-    residual = _normal_form(work, di * dj if cleared else None, system)
+            add_term(work, (len(m), m, e), n * scale)
+    residual = _normal_form(
+        work, None if system.cleared is None else di * dj, system)
     return residual.is_zero(), residual
 
 

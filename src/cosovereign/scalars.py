@@ -373,10 +373,11 @@ q = RatFunc(_P_ONE, _P_ONE, 1)
 
 
 def clear(terms):
-    """(den, [(key, num)]) for the (key, scalar) pairs `terms`, read twice:
+    """(den, [(key, e, n)]) for the (key, scalar) pairs `terms`, read twice:
     den is the lcm of every Fraction denominator, in Laurent scalars too,
-    and each scalar is num/den with num an int or an `IntLaurent`.  None
-    when a scalar is a true quotient (``bot != 1``)."""
+    and each scalar is the sum of n*q^e/den over its triples, one per
+    nonzero power of q, with n an int (a Fraction gives e = 0).  None when
+    a scalar is a true quotient (``bot != 1``)."""
     den = 1
     for _, c in terms:
         if not isinstance(c, RatFunc):
@@ -385,12 +386,10 @@ def clear(terms):
             den = lcm(den, *(a.denominator for a in c.top.coeffs))
         else:
             return None
-    return den, [(key, IntLaurent({e: a.numerator * (den // a.denominator)
-                                   for e, a in enumerate(c.top.coeffs, c.val)
-                                   if a})
-                  if isinstance(c, RatFunc)
-                  else c.numerator * (den // c.denominator))
-                 for key, c in terms]
+    return den, [(key, e, a.numerator * (den // a.denominator))
+                 for key, c in terms
+                 for e, a in (enumerate(c.top.coeffs, c.val)
+                              if isinstance(c, RatFunc) else ((0, c),)) if a]
 
 
 def uncleared(num, den):
@@ -406,33 +405,6 @@ def uncleared(num, den):
 def _ring(powers):
     """The element of Z[q, q^-1] with exponent -> nonzero int `powers`."""
     return powers[0] if powers.keys() == {0} else powers or 0
-
-
-class IntLaurent(dict):
-    """A nonconstant element of Z[q, q^-1], exponent -> nonzero int.  Its
-    factors must be nonzero; a constant sum or product is an int."""
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        if not isinstance(other, dict):
-            return IntLaurent({e: a * other for e, a in self.items()})
-        out = IntLaurent()
-        for e, a in self.items():
-            for f, b in other.items():
-                add_term(out, e + f, a * b)
-        return _ring(out)
-
-    def __add__(self, other):
-        out = IntLaurent(self)
-        for e, a in (other if isinstance(other, dict) else {0: other}).items():
-            add_term(out, e, a)
-        return _ring(out)
-
-    def __floordiv__(self, g):
-        return IntLaurent({e: a // g for e, a in self.items()})
-
-    __rmul__, __radd__ = __mul__, __add__
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -175,6 +176,21 @@ def test_check_hef_files(tmp_path, capsys):
     fpath.write_text("2 2\n1 0\n1 0\n")
     assert run(capsys, "check", "hef", "--E", str(epath), "--F", str(fpath)) \
         == (2, "", "error: F is singular (zero diagonal entry)\n")
+
+
+def test_check_hef_regroups_powers_of_q(tmp_path, capsys):
+    """Symbolic-q entries whose residuals hold, per monomial, several
+    powers of q over a fraction: the normal form regroups them."""
+    epath, fpath = tmp_path / "e.mat", tmp_path / "f.mat"
+    epath.write_text("2 2\nq 0\n0 1\n")
+    fpath.write_text("2 2\nq 0\n1 3*q\n")
+    code, out, _ = run(capsys, "check", "hef", "--E", str(epath), "--F",
+                       str(fpath), "--unchecked")
+    assert code == 1
+    assert out.count("FAIL residual") == 10
+    assert re.search(r"witness u22\.v21\.u11 .*FAIL residual "
+                     r"\(3-q\^-1\)\*u12 \+ \(q\^-1-1/3\*q\^-2\)\*u11$",
+                     out, re.M)
 
 
 def test_check_file_preset(tmp_path, capsys):

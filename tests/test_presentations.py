@@ -123,6 +123,29 @@ def test_hef_matches_the_hand_solved_builder():
     assert len(kinds) == 4
 
 
+_QUOTIENT = (q ** 2 + 1) / (q - 2)
+
+
+@pytest.mark.parametrize("e_diagonal, f_rows, matched", [
+    ([q + 1, _QUOTIENT], [[q + 1, 0], [3, _QUOTIENT]], True),
+    ([q + 1, _QUOTIENT], [[q + 1, 0], [Fraction(1, 2), 2 * q]], False),
+    ([2, q + 1, 1 / (q + 3)],
+     [[q + 1, 0, 0], [q, 2, 0], [1, q ** -1, 1 / (q + 3)]], True)])
+def test_hef_with_a_non_monomial_lead_matches_the_hand_solved_builder(
+        e_diagonal, f_rows, matched):
+    """F_11 = q + 1 and a quotient last entry of E lead two of the four
+    identities, so `build_hef` divides them by coefficients that are not
+    monomials c*q^k; checked and `unchecked`."""
+    e, f = ExactMatrix.diagonal(e_diagonal), ExactMatrix(f_rows)
+    expected = reference_hef(e, f).export()
+    assert build_hef(e, f, unchecked=True).export() == expected
+    if matched:
+        assert build_hef(e, f).export() == expected
+    else:
+        with pytest.raises(ValueError, match="trace conditions"):
+            build_hef(e, f)
+
+
 @pytest.mark.parametrize("qv", [q, Fraction(3, 2), Fraction(-2)])
 def test_hq_hplus_and_pi_match_the_written_out_builders(qv):
     fq = matrix_fq(qv)

@@ -465,6 +465,39 @@ def test_reduce_matches_linear_scan_in_both_rings(rules, terms):
         assert resolve(amb, system)[1] == reference_resolve(amb, rules)
 
 
+#: (e, c, full): a power c*q^e of an input coefficient, and whether the
+#: reduct subtracted from it cancels that power fully or only partly.
+_powers = st.lists(st.tuples(st.integers(-3, 3),
+                             st.sampled_from((1, -1, 2, Fraction(-5, 3),
+                                              Fraction(7, 2))),
+                             st.booleans()),
+                   min_size=2, max_size=4, unique_by=lambda t: t[0])
+
+
+@seed(1978)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_rule_systems(st.sampled_from(_CLEARABLE)), _words, _powers)
+# q^-1 cancels fully and -5/3*q^2 partly, at a.b and at a
+@example([Rule(_B + _A, NCPolynomial({_A + _B: q, _A: Fraction(7, 2)}))],
+         _B + _A, [(-1, 1, True), (2, Fraction(-5, 3), False)])
+def test_reduce_cancels_powers_of_q_on_one_monomial(rules, m, powers):
+    """`reduce` against `scan_reduce` on L*m - L'*r, where L is a Laurent
+    coefficient of 2-4 terms, r the one-step reduct of m at its leftmost
+    redex (m itself when it has none), and L' agrees with L on the powers
+    marked full and is twice it on the others, so that as m is rewritten
+    some powers of q cancel in the work fully and some partly."""
+    system = RewriteSystem(Alphabet(("a", "b", "c")), rules)
+    coeff = sum(c * q ** e for e, c, _ in powers)
+    other = sum((c if full else 2 * c) * q ** e for e, c, full in powers)
+    hit = scan_find_redex(m, rules)
+    reduct = (apply_rule_at(m, hit[1], hit[0]) if hit
+              else NCPolynomial.monomial(m))
+    p = NCPolynomial({m: coeff}) - NCPolynomial({(): other}) * reduct
+    assert reduce(p, system) == scan_reduce(p, rules)
+    assert reduce(p, system) == scan_reduce(
+        NCPolynomial({m: coeff - other}), rules)
+
+
 @pytest.mark.parametrize("size", [3, 4])
 def test_reduce_matches_linear_scan_on_hef(size):
     """`reduce` against `scan_reduce` on random polynomials in H(E, F)

@@ -11,7 +11,8 @@ from hypothesis import example, given, seed, settings, strategies as st
 from cosovereign import (Alphabet, FusionElement, NCPolynomial, ParseError,
                          Poly, RatFunc, RepElement, format_scalar, multiply,
                          parse_scalar, psi_word, q, render_alt_word, word_str)
-from cosovereign.scalars import IntLaurent, clear, parse_expression, uncleared
+from cosovereign.scalars import (_ring, add_term, clear, parse_expression,
+                                 uncleared)
 from _helpers import (LONG_LITERAL, needs_digit_limit, reference_format_scalar,
                       reference_fuse, reference_parse_scalar,
                       reference_render, scalar_texts)
@@ -486,29 +487,45 @@ _clearable = st.one_of(st.integers(-9, 9).filter(bool), _nonzero, _laurents,
                                  st.integers(-6, 6)))
 
 
+def _regrouped(triples, den):
+    """The scalar sum of n*q^e/den over the (e, n) `triples`, regrouped into
+    one exponent -> int dict, as `reduce` regroups its normal form."""
+    powers = {}
+    for e, n in triples:
+        add_term(powers, e, n)
+    return uncleared(_ring(powers), den)
+
+
 @seed(2002)
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.lists(_clearable, min_size=1, max_size=4))
 # a product and a sum whose powers of q cancel
 @example([Fraction(3, 2) * q ** 2, 5 * q ** -2, 2 - Fraction(3, 2) * q ** 2])
 def test_clear_round_trip(scalars):
-    """`uncleared` gives back each scalar that `clear` puts over the shared
-    denominator, in its one form, a Fraction for every constant; the ring's
-    sum and product are those of the scalars."""
-    den, terms = clear(list(enumerate(scalars)))
-    assert [key for key, _ in terms] == list(range(len(scalars)))
-    for (_, num), c in zip(terms, scalars):
-        assert type(num) is (IntLaurent if isinstance(c, RatFunc) else int)
-        assert uncleared(num, den) == c
-        _assert_never_constant(uncleared(num, den))
-    x, a = terms[0][1], scalars[0]
-    for (_, y), b in zip(terms, scalars):
-        for num, d, expected in ((x + y, den, a + b),
-                                 (x * y, den * den, a * b)):
-            assert type(num) is (IntLaurent if isinstance(expected, RatFunc)
-                                 else int)
-            assert uncleared(num, d) == expected
-            _assert_never_constant(uncleared(num, d))
+    """`clear` puts each scalar over the shared denominator as one (key, e,
+    n) triple per nonzero power q^e, with n an int; `uncleared` gives back
+    the scalar from its key's triples, in its one form, a Fraction for
+    every constant.  Merging two keys' triples gives the scalars' sum, and
+    convolving their exponents gives their product."""
+    den, triples = clear(list(enumerate(scalars)))
+    by_key = {}
+    for key, e, n in triples:
+        assert type(e) is int and type(n) is int and n
+        assert e not in dict(by_key.get(key, ()))
+        by_key.setdefault(key, []).append((e, n))
+    assert list(by_key) == list(range(len(scalars)))
+    for key, c in enumerate(scalars):
+        if not isinstance(c, RatFunc):
+            assert [e for e, _ in by_key[key]] == [0]
+        assert _regrouped(by_key[key], den) == c
+        _assert_never_constant(_regrouped(by_key[key], den))
+    x, a = by_key[0], scalars[0]
+    for y, b in zip(by_key.values(), scalars):
+        product = [(e + f, m * n) for e, m in x for f, n in y]
+        for got, expected in ((_regrouped(x + y, den), a + b),
+                              (_regrouped(product, den * den), a * b)):
+            assert got == expected
+            _assert_never_constant(got)
 
 
 @pytest.mark.parametrize("quotient", [1 / (q + 1), (q - 1) / (q ** 2 + 2)])
